@@ -90,21 +90,14 @@ class HtmlConfig:
 
 @dataclass(frozen=True)
 class RayConfig:
-    """Physical execution knobs (SURVEY.md §4) — per-stage sizing so no
-    stage starves the others on a fixed-size pool."""
+    """Physical execution knobs (SURVEY.md §4) for the two Ray Data
+    stages: decode/route/html batches and the fused cascade pool."""
 
-    fuse_cascade: bool = True        # one det+cls+rec actor pool (crops
-                                     # never enter the object store) vs
-                                     # three independently-scaled pools
-    cascade_concurrency: int = 64    # fused-pool size cap; actual pool =
+    cascade_concurrency: int = 64    # cascade-pool size cap; actual pool =
                                      # min(cap, cluster CPUs - 2) so the
                                      # cascade scales with the session
-    det_concurrency: int = 4
-    cls_concurrency: int = 2
-    rec_concurrency: int = 4
-    batch_size_docs: int = 64        # decode/html stages (multi-KB rows)
-    batch_size_bitmap: int = 16      # det stage (multi-MB decoded payloads)
-    batch_size_regions: int = 256    # cls/rec stages (small crops)
+    batch_size_docs: int = 64        # decode/html stage (multi-KB rows)
+    batch_size_bitmap: int = 16      # cascade stage (multi-MB decoded payloads)
 
 
 @dataclass(frozen=True)

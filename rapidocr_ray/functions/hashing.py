@@ -10,6 +10,7 @@ smaller signature stream, never on raw text twice.
 from __future__ import annotations
 
 import hashlib
+import zlib
 
 import numpy as np
 
@@ -23,6 +24,20 @@ def _stable_hash64(s: str) -> int:
     token/shingle-hash-derived signature (SimHash in particular)
     independently checkable end-to-end from the documents table."""
     return int.from_bytes(hashlib.md5(s.encode("utf-8")).digest()[:8], "little")
+
+
+def crc_bucket(values, n_buckets: int) -> np.ndarray:
+    """Stable bucket of each string key: ``zlib.crc32(utf8(v)) %
+    n_buckets`` as int64 — the one string shuffle key of the bucketed
+    groupbys and of the hash-bucketed parquet sink.
+    ``values`` is any iterable of str or an Arrow array.  INTENTIONAL
+    per-value Python loop: there is no vectorized Arrow crc32, and the
+    callers run it over already-collapsed per-batch partials."""
+    if hasattr(values, "to_pylist"):
+        values = values.to_pylist()
+    return np.fromiter(
+        (zlib.crc32(v.encode()) % n_buckets for v in values), dtype=np.int64
+    )
 
 
 def word_shingles(text: str, k: int = 3) -> list[str]:

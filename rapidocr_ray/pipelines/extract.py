@@ -1,25 +1,25 @@
 """The flagship extraction pipeline as a lazy ray.data.Dataset graph.
 
-    read -> [dedup by url] -> decode/route/html -> det actor pool
-         -> cls actor pool -> rec actor pool -> assemble (groupby url)
+    read -> [dedup by url] -> decode/route/html -> cascade actor pool
+         (det -> cls -> rec -> per-document assembly)
 
 Scale notes (SURVEY.md §4, §7.3):
-- two all-to-all exchanges, both keyed on ``url`` (dedup, assembly);
-  everything else is embarrassingly parallel map_batches.  At cluster
-  scale the dedup shuffle moves full payloads — unavoidable for
-  latest-capture-wins semantics over unsorted WARC dumps; when the
-  input is already url-unique, pass ``dedup=False`` and the pipeline is
-  shuffle-free until assembly.
-- the assembly shuffle moves only text + span metadata: the rec stage
-  nulls the crop payload column first, so the exchanged bytes are ~2-3
-  orders of magnitude smaller than the input.
-- actor pools autoscale ``concurrency=(1, n)`` so the same code runs on
-  a 4-CPU test session and a 32-CPU bench session without deadlocking
-  the scheduler; per-actor num_cpus=1 and the seeded kernels hold the
-  GIL, matching the reference's one-ORT-session-per-process layout.
+- the only all-to-all exchange is the optional url dedup; everything
+  else is embarrassingly parallel map_batches.  The default dedup
+  broadcasts a (url -> latest warc_ts) winner map built from two
+  narrow columns, so the payload bytes never enter a shuffle; only
+  ``strict`` dedup shuffles full payloads.  When the input is already
+  url-unique, pass ``dedup=False`` and the pipeline is shuffle-free.
+- crops never leave the cascade actor: det, cls, rec and assembly run
+  in one call per batch, and only text/span rows enter the object
+  store.
+- the cascade pool is fixed-size, sized to the session (see
+  ``build_extract_pipeline``); per-actor num_cpus=1 and the seeded
+  kernels hold the GIL, matching the reference's
+  one-ORT-session-per-process layout.
 - oversized payloads (skew, SURVEY.md §4): rows are routed to batches
-  by Ray's block splitting; det batch_size is small (bitmap rows are
-  multi-KB..MB) while decode/html batch_size is larger.
+  by Ray's block splitting; the cascade batch_size is small (bitmap
+  rows are multi-KB..MB) while decode/html batch_size is larger.
 """
 
 from __future__ import annotations
@@ -27,18 +27,12 @@ from __future__ import annotations
 import ray.data
 
 from rapidocr_ray.config import PipelineConfig
-from rapidocr_ray.util import ensure_worker_importable, lru_cache_get
+from rapidocr_ray.util import ensure_worker_importable, lru_cache_get, session_cpus
 from rapidocr_ray.stages.ray_stages import (
     CascadeStage,
-    ClsStage,
     DecodeRouteExtract,
-    DetStage,
-    RecStage,
     add_url_bucket,
-    assemble_bucket,
-    assemble_group,
     dedup_bucket,
-    dedup_latest_group,
 )
 
 
@@ -172,11 +166,7 @@ def dedup_by_url(
         # flat as file count grows (VERDICT r4 #4) without paying
         # per-task overhead on tiny files; the merge is itself a task
         # over the partial refs, so the driver never blocks.
-        try:
-            n_chunks = max(8, int(_ray.cluster_resources().get("CPU", 8)))
-        except Exception:  # pragma: no cover — session not up yet
-            n_chunks = 8
-        n_chunks = min(len(winners_files), n_chunks)
+        n_chunks = min(len(winners_files), max(8, session_cpus()))
         step = (len(winners_files) + n_chunks - 1) // n_chunks
         chunks = [
             winners_files[i : i + step]
@@ -291,21 +281,6 @@ def _winners_cached(ref):
     return lru_cache_get(_WINNER_CACHE, ref.hex(), build, maxsize=2)
 
 
-def _target_blocks(factor: int = 2) -> int:
-    """Enough blocks that every stage can use the whole pool: blocks
-    are the unit of task parallelism in Ray Data (one input block = one
-    map task), so a single-block source (from_arrow, a groupby output
-    on small data) would serialize the cascade.  A higher factor
-    smooths stragglers on skewed per-doc costs."""
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:  # pragma: no cover — session not up yet
-        cpus = 8
-    return max(8, cpus * factor)
-
-
 def build_extract_pipeline(
     ds: "ray.data.Dataset",
     cfg: PipelineConfig | None = None,
@@ -333,73 +308,32 @@ def build_extract_pipeline(
         batch_format="pyarrow",
         batch_size=rc.batch_size_docs,
     )
-    if rc.fuse_cascade:
-        # fixed-size pool sized to the session: autoscaling ramps too
-        # slowly for short waves, leaving the pool at ~3x effective
-        # parallelism while 20+ core-seconds of cascade work queue up
-        import ray as _ray
-
-        try:
-            cpus = int(_ray.cluster_resources().get("CPU", 8))
-        except Exception:  # pragma: no cover
-            cpus = 8
-        # leave a small slice of the session for the read tasks (decode
-        # fuses into the pool; in-actor assembly removed the downstream
-        # stages): measured at 32 CPUs, pool=30 beats 28 (1106 vs 911
-        # docs/s) because reads are cheap parquet decodes that
-        # interleave fine with 30 busy cascade actors.  On tiny (<8 CPU)
-        # sessions reserve 2 slots, not 1: back-to-back pipelines can
-        # briefly overlap with the previous pool's not-yet-released
-        # actors, and a pool sized to cpus-1 then starves its own read
-        # task forever (observed 4-CPU suite deadlock, r4).
-        margin = max(1, cpus // 16) if cpus >= 8 else 2
-        # clamp the floor to the session: on 2-3 CPU sessions the
-        # max(2,..) floor must not exceed cpus-1 or the pool starves its
-        # own read task (ADVICE r4) — degrade to pool=1 there.
-        pool = min(max(2, min(rc.cascade_concurrency, cpus - margin)), max(1, cpus - 1))
-        ds = ds.map_batches(
-            CascadeStage,
-            fn_constructor_kwargs={"cfg": cfg},
-            batch_format="pyarrow",
-            batch_size=rc.batch_size_bitmap,
-            concurrency=pool,
-            num_cpus=1,
-        )
-        # the fused stage assembles in-actor and emits FINAL_SCHEMA rows
-        # directly: no all-to-all remains after dedup
-        return ds
-    else:
-        ds = ds.map_batches(
-            DetStage,
-            fn_constructor_kwargs={"cfg": cfg},
-            batch_format="pyarrow",
-            batch_size=rc.batch_size_bitmap,
-            concurrency=(1, rc.det_concurrency),
-            num_cpus=1,
-        )
-        if cfg.Global.use_cls:
-            ds = ds.map_batches(
-                ClsStage,
-                fn_constructor_kwargs={"cfg": cfg},
-                batch_format="pyarrow",
-                batch_size=rc.batch_size_regions,
-                concurrency=(1, rc.cls_concurrency),
-                num_cpus=1,
-            )
-        ds = ds.map_batches(
-            RecStage,
-            fn_constructor_kwargs={"cfg": cfg},
-            batch_format="pyarrow",
-            batch_size=rc.batch_size_regions,
-            concurrency=(1, rc.rec_concurrency),
-            num_cpus=1,
-        )
-    text_score = cfg.Global.text_score
-    ds = ds.map_batches(add_url_bucket, batch_format="pyarrow")
-    ds = ds.groupby("url_bucket").map_groups(
-        lambda g: assemble_bucket(g, text_score=text_score), batch_format="pyarrow"
+    # fixed-size pool sized to the session: autoscaling ramps too slowly
+    # for short waves, leaving the pool at ~3x effective parallelism
+    # while 20+ core-seconds of cascade work queue up
+    cpus = session_cpus()
+    # leave a small slice of the session for the read tasks (decode
+    # fuses into the pool; in-actor assembly leaves no downstream
+    # stage): measured at 32 CPUs, pool=30 beats 28 (1106 vs 911
+    # docs/s) because reads are cheap parquet decodes that interleave
+    # fine with 30 busy cascade actors.  On tiny (<8 CPU) sessions
+    # reserve 2 slots, not 1: back-to-back pipelines can briefly
+    # overlap with the previous pool's not-yet-released actors, and a
+    # pool sized to cpus-1 then starves its own read task forever
+    # (observed 4-CPU suite deadlock, r4).
+    margin = max(1, cpus // 16) if cpus >= 8 else 2
+    # clamp the floor to the session: on 2-3 CPU sessions the max(2,..)
+    # floor must not exceed cpus-1 or the pool starves its own read task
+    # (ADVICE r4) — degrade to pool=1 there.
+    pool = min(max(2, min(rc.cascade_concurrency, cpus - margin)), max(1, cpus - 1))
+    return ds.map_batches(
+        CascadeStage,
+        fn_constructor_kwargs={"cfg": cfg},
+        batch_format="pyarrow",
+        batch_size=rc.batch_size_bitmap,
+        concurrency=pool,
+        num_cpus=1,
     )
-    return ds
 
 
 def extract_pages_table(table, cfg: PipelineConfig | None = None, dedup: bool = True):

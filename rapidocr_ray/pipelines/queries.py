@@ -24,6 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from rapidocr_ray.functions.hashing import crc_bucket
 from rapidocr_ray.functions.textstats import (
     LANG_PROFILES,
     STOPWORDS,
@@ -1147,8 +1148,6 @@ def q_top_terms_per_lang(sf_dir: str, k: int = 5):
     top-k pruning BEFORE the final tiny per-lang reduce — the second
     shuffle carries at most n_buckets x n_langs x k rows, never the
     vocabulary."""
-    import zlib
-
     ds = _read(sf_dir, "documents", columns=["lang", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1166,11 +1165,7 @@ def q_top_terms_per_lang(sf_dir: str, k: int = 5):
         agg = t.group_by(["lang", "token"]).aggregate([("n", "sum")])
         # stable bucket on the token only (crc32 over the DISTINCT
         # tokens of the partial — not the exploded instances)
-        buckets = np.fromiter(
-            (zlib.crc32(s.encode()) % 64 for s in agg.column("token").to_pylist()),
-            dtype=np.int64,
-            count=agg.num_rows,
-        )
+        buckets = crc_bucket(agg.column("token"), 64)
         return pa.table(
             {
                 "lang": agg.column("lang"),
@@ -2859,8 +2854,6 @@ def q_norm_dedup_groups(sf_dir: str):
     the scan task, ONE bounded shuffle bucketed by key hash (a key
     lives in one bucket, so per-bucket groups are exact).  Both sides
     use RE2 ('[^a-z0-9]+') so the normalization is kernel-identical."""
-    import zlib
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def norm(batch: pa.Table) -> pa.Table:
@@ -2871,11 +2864,7 @@ def q_norm_dedup_groups(sf_dir: str):
         )
         # INTENTIONAL to_pylist: per-doc string hashing (crc32 is C
         # over the full key bytes), same pattern as top_terms_per_lang
-        buckets = np.fromiter(
-            (zlib.crc32(s.encode()) % 64 for s in key.to_pylist()),
-            dtype=np.int64,
-            count=len(key),
-        )
+        buckets = crc_bucket(key, 64)
         return pa.table(
             {"doc_id": batch.column("doc_id"), "k": key, "bucket": buckets}
         )
@@ -2968,8 +2957,6 @@ def q_doc_salient_term(sf_dir: str):
     one bucket, so the df a candidate sees is exact and global);
     (4) a second small shuffle keyed by doc bucket picks the winner —
     it carries only the tie rows, never the token explosion."""
-    import zlib
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def explode(batch: pa.Table) -> pd.DataFrame:
@@ -2987,11 +2974,7 @@ def q_doc_salient_term(sf_dir: str):
         per = explode(batch)
         mx = per.groupby("d", sort=False)["tf"].transform("max")
         cand = per[per.tf == mx]
-        cand_buckets = np.fromiter(
-            (zlib.crc32(s.encode()) % 64 for s in cand.tok),
-            dtype=np.int64,
-            count=len(cand),
-        )
+        cand_buckets = crc_bucket(cand.tok, 64)
         cand_tab = pa.table(
             {
                 "bucket": cand_buckets,
@@ -3002,11 +2985,7 @@ def q_doc_salient_term(sf_dir: str):
             }
         )
         part = per.groupby("tok", sort=False).size().rename("df").reset_index()
-        df_buckets = np.fromiter(
-            (zlib.crc32(s.encode()) % 64 for s in part.tok),
-            dtype=np.int64,
-            count=len(part),
-        )
+        df_buckets = crc_bucket(part.tok, 64)
         df_tab = pa.table(
             {
                 "bucket": df_buckets,
@@ -3567,8 +3546,6 @@ def q_domain_stats(sf_dir: str, n_buckets: int = 64):
     lang) collapses each batch to its distinct triples, then ONE bounded
     shuffle on crc32(domain) merges exact distinct-host / distinct-lang
     counts — the user_distinct_types mergeable-partial pattern."""
-    import zlib
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "source", "n_chars"])
     tlds = ["com", "org", "net", "io", "co.uk"]
 
@@ -3607,10 +3584,7 @@ def q_domain_stats(sf_dir: str, n_buckets: int = 64):
             [("n_chars", "sum"), ("n_chars", "count")]
         )
         # stable string bucket on the DISTINCT domains only
-        bucket = pa.array(
-            (zlib.crc32(s.encode()) % n_buckets for s in agg.column("domain").to_pylist()),
-            type=pa.int64(),
-        )
+        bucket = pa.array(crc_bucket(agg.column("domain"), n_buckets))
         return agg.append_column("bucket", bucket)
 
     part = ds.map_batches(partial, batch_format="pyarrow")
@@ -3660,8 +3634,6 @@ def q_url_canonical_dedup(sf_dir: str, n_buckets: int = 64):
     shape: canonicalization is one vectorized map_batches; the winner
     pick is ONE bounded shuffle on crc32(canon) with a vectorized
     per-bucket sort/first (no per-url Python)."""
-    import zlib
-
     ds = _read(sf_dir, "documents", columns=["doc_id"])
 
     def canon(batch: pa.Table) -> pa.Table:
@@ -3699,10 +3671,7 @@ def q_url_canonical_dedup(sf_dir: str, n_buckets: int = 64):
         trimmed = pc.replace_substring_regex(path, pattern="/$", replacement="")
         path2 = pc.if_else(is_root, pa.array(["/"] * n), trimmed)
         c = pc.binary_join_element_wise(scheme, pa.array(["://"] * n), host, path2, "")
-        bucket = pa.array(
-            (zlib.crc32(s.encode()) % n_buckets for s in c.to_pylist()),
-            type=pa.int64(),
-        )
+        bucket = pa.array(crc_bucket(c, n_buckets))
         return pa.table(
             {"canon_url": c, "doc_id": batch.column("doc_id"), "bucket": bucket}
         )
@@ -3765,7 +3734,6 @@ def q_unigram_logprob(sf_dir: str, broadcast_limit: int = 2_000_000, n_buckets: 
     integer so accumulation order cannot diverge.  Past
     ``broadcast_limit`` vocab rows the score attaches through a
     token-bucketed shuffle instead (equality-pinned by test)."""
-    import zlib
     import ray
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -3773,10 +3741,7 @@ def q_unigram_logprob(sf_dir: str, broadcast_limit: int = 2_000_000, n_buckets: 
     def partial_counts(batch: pa.Table) -> pa.Table:
         flat = pc.list_flatten(pc.split_pattern(batch.column("text"), pattern=" "))
         agg = pa.table({"t": flat}).group_by(["t"]).aggregate([("t", "count")])
-        bucket = pa.array(
-            (zlib.crc32(s.encode()) % n_buckets for s in agg.column("t").to_pylist()),
-            type=pa.int64(),
-        )
+        bucket = pa.array(crc_bucket(agg.column("t"), n_buckets))
         return agg.append_column("bucket", bucket)
 
     def merge_counts(group: pd.DataFrame) -> pd.DataFrame:
@@ -3851,10 +3816,7 @@ def q_unigram_logprob(sf_dir: str, broadcast_limit: int = 2_000_000, n_buckets: 
                     type=pa.int64(),
                 ),
                 "doc_id": pa.array(np.full(len(b), -1), type=pa.int64()),
-                "bucket": pa.array(
-                    [zlib.crc32(s.encode()) % n_buckets for s in b.column("t").to_pylist()],
-                    type=pa.int64(),
-                ),
+                "bucket": pa.array(crc_bucket(b.column("t"), n_buckets)),
             }
         ),
         batch_format="pyarrow",
@@ -3870,10 +3832,7 @@ def q_unigram_logprob(sf_dir: str, broadcast_limit: int = 2_000_000, n_buckets: 
                 "t": flat,
                 "lp": pa.array(np.zeros(len(ids)), type=pa.int64()),
                 "doc_id": pa.array(ids, type=pa.int64()),
-                "bucket": pa.array(
-                    [zlib.crc32(s.encode()) % n_buckets for s in flat.to_pylist()],
-                    type=pa.int64(),
-                ),
+                "bucket": pa.array(crc_bucket(flat, n_buckets)),
             }
         )
 
@@ -3943,7 +3902,6 @@ def q_incremental_dedup(sf_dir: str, n_bits_log2: int = 20, n_buckets: int = 64)
     The probe's key computation is recomputed for the two branches
     (hash-only recompute beats materializing the corpus)."""
     import hashlib
-    import zlib
     import ray
 
     m = 1 << n_bits_log2
@@ -4014,9 +3972,7 @@ def q_incremental_dedup(sf_dir: str, n_bits_log2: int = 20, n_buckets: int = 64)
             {
                 "doc_id": b.column("doc_id"),
                 "key": b.column("key"),
-                "bucket": pa.array(
-                    [zlib.crc32(k.encode()) % n_buckets for k in keys], type=pa.int64()
-                ),
+                "bucket": pa.array(crc_bucket(keys, n_buckets)),
             }
         )
 
@@ -4028,9 +3984,7 @@ def q_incremental_dedup(sf_dir: str, n_bits_log2: int = 20, n_buckets: int = 64)
             {
                 "doc_id": pa.array(np.full(sum(sel), -1), type=pa.int64()),
                 "key": pa.array(keys, type=pa.string()),
-                "bucket": pa.array(
-                    [zlib.crc32(k.encode()) % n_buckets for k in keys], type=pa.int64()
-                ),
+                "bucket": pa.array(crc_bucket(keys, n_buckets)),
             }
         )
 
@@ -4812,8 +4766,6 @@ def q_bpe_merge_pairs(sf_dir: str, k: int = 20, n_buckets: int = 64):
     counts collapse in-task, ONE crc32(pair)-bucketed shuffle merges
     exactly (a pair lives in one bucket), per-bucket top-k prune bounds
     the final reduce at n_buckets × k rows."""
-    import zlib
-
     ds = _read(sf_dir, "documents", columns=["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -4840,11 +4792,7 @@ def q_bpe_merge_pairs(sf_dir: str, k: int = 20, n_buckets: int = 64):
         keep[ends[:-1] - 1] = False  # last token of each doc (but the final)
         t = pa.table({"pair": pairs.filter(pa.array(keep))})
         agg = t.group_by(["pair"]).aggregate([("pair", "count")])
-        buckets = np.fromiter(
-            (zlib.crc32(s.encode()) % n_buckets for s in agg.column("pair").to_pylist()),
-            dtype=np.int64,
-            count=agg.num_rows,
-        )
+        buckets = crc_bucket(agg.column("pair"), n_buckets)
         return pa.table(
             {
                 "pair": agg.column("pair"),
@@ -4896,9 +4844,7 @@ def _pixel_key_table(
     """Shared (doc_id, pixel_key, container, bucket) builder for the
     image/video pixel-dedup twins — one place for the crc32 bucket and
     output schema so the twins cannot drift (review)."""
-    import zlib
-
-    bucket = [zlib.crc32(k.encode()) % n_buckets for k in keys]
+    bucket = crc_bucket(keys, n_buckets)
     return pa.table(
         {
             "doc_id": pa.array(ids, type=pa.int64()),
@@ -5023,7 +4969,6 @@ def q_span_dedup_removal(
     form of the same semantics.  Unicode-correct: masks apply to
     codepoints via utf-32 views, matching SQL substr char semantics."""
     import hashlib
-    import zlib
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -5037,11 +4982,7 @@ def q_span_dedup_removal(
                 out_d.append(d)
                 out_i.append(i)
                 out_w.append(t[i : i + width])
-        bucket = np.fromiter(
-            (zlib.crc32(w.encode()) % n_buckets for w in out_w),
-            dtype=np.int64,
-            count=len(out_w),
-        )
+        bucket = crc_bucket(out_w, n_buckets)
         return pa.table(
             {
                 "doc_id": pa.array(out_d, type=pa.int64()),
@@ -5389,8 +5330,6 @@ def q_dsir_weights(sf_dir: str, n_buckets: int = 64):
     protocol), the doc score an integer SUM.  Vocab-bounded like
     unigram_logprob; past broadcast_limit the same token-bucketed
     attach-shuffle fallback applies (not duplicated here)."""
-    import zlib
-
     import ray
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -5404,10 +5343,7 @@ def q_dsir_weights(sf_dir: str, n_buckets: int = 64):
         agg = pa.table(
             {"t": flat, "one": np.ones(len(flat), dtype=np.int64), "tgt": is_tgt}
         ).group_by(["t"]).aggregate([("one", "sum"), ("tgt", "sum")])
-        bucket = pa.array(
-            (zlib.crc32(s.encode()) % n_buckets for s in agg.column("t").to_pylist()),
-            type=pa.int64(),
-        )
+        bucket = pa.array(crc_bucket(agg.column("t"), n_buckets))
         return pa.table(
             {
                 "t": agg.column("t"),
@@ -5603,14 +5539,9 @@ def _uni_count_partial(batch: pa.Table, n_buckets: int) -> pa.Table:
     """Per-batch corpus unigram count partial, crc32(token)-bucketed —
     shared by the bigram twins (their bit-equality is test-pinned, so
     the tokenize/count/bucket kernel must be ONE definition)."""
-    import zlib
-
     flat = pc.list_flatten(pc.split_pattern(batch.column("text"), " "))
     agg = pa.table({"t": flat}).group_by(["t"]).aggregate([("t", "count")])
-    bucket = pa.array(
-        (zlib.crc32(s.encode()) % n_buckets for s in agg.column("t").to_pylist()),
-        type=pa.int64(),
-    )
+    bucket = pa.array(crc_bucket(agg.column("t"), n_buckets))
     return pa.table(
         {"t": agg.column("t"), "c": agg.column("t_count"), "bucket": bucket}
     )
@@ -5624,8 +5555,6 @@ def _uni_count_merge(group: pd.DataFrame) -> pd.DataFrame:
 def _bigram_pair_partial(batch: pa.Table, n_buckets: int) -> pa.Table:
     """Per-batch (w1, pair) count partial, crc32(pair)-bucketed — the
     one tokenize/pair/bucket kernel both bigram plans share."""
-    import zlib
-
     toks = pc.split_pattern(batch.column("text"), " ")
     lens = pc.list_value_length(toks).to_numpy().astype(np.int64)
     flat = np.asarray(pc.list_flatten(toks), dtype=object)
@@ -5635,7 +5564,7 @@ def _bigram_pair_partial(batch: pa.Table, n_buckets: int) -> pa.Table:
     pi = np.flatnonzero(mask)
     df = pd.DataFrame({"w1": flat[pi], "p": flat[pi] + " " + flat[pi + 1]})
     g = df.groupby(["w1", "p"], as_index=False).size()
-    g["bucket"] = [zlib.crc32(s.encode()) % n_buckets for s in g.p]
+    g["bucket"] = crc_bucket(g.p, n_buckets)
     return pa.Table.from_pandas(g.rename(columns={"size": "c2"}), preserve_index=False)
 
 
@@ -5649,8 +5578,6 @@ def _lang_token_partial(batch: pa.Table, n_buckets: int) -> pa.Table:
     """Per-batch (lang, token) count partial, crc32(token)-bucketed —
     shared by zipf_slope and the NB plans (one tokenize/bucket kernel
     so the oracle-pinned twins cannot drift)."""
-    import zlib
-
     toks = pc.split_pattern(batch.column("text"), " ")
     lens = np.asarray(pc.list_value_length(toks), dtype=np.int64)
     langs = np.repeat(np.asarray(batch.column("lang"), dtype=object), lens)
@@ -5663,11 +5590,7 @@ def _lang_token_partial(batch: pa.Table, n_buckets: int) -> pa.Table:
         }
     )
     agg = t.group_by(["lang", "token"]).aggregate([("n", "sum")])
-    buckets = np.fromiter(
-        (zlib.crc32(s.encode()) % n_buckets for s in agg.column("token").to_pylist()),
-        dtype=np.int64,
-        count=agg.num_rows,
-    )
+    buckets = crc_bucket(agg.column("token"), n_buckets)
     return pa.table(
         {
             "lang": agg.column("lang"),
@@ -5886,7 +5809,6 @@ def q_soft_dedup_weights(sf_dir: str, n_buckets: int = 64):
     with its weight.  md5 is the SQL-shared key (DuckDB md5(text)), so
     the oracle is a pure window COUNT."""
     import hashlib
-    import zlib
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -5897,11 +5819,7 @@ def q_soft_dedup_weights(sf_dir: str, n_buckets: int = 64):
             hashlib.md5(s.encode()).hexdigest()
             for s in batch.column("text").to_pylist()
         ]
-        buckets = np.fromiter(
-            (zlib.crc32(s.encode()) % n_buckets for s in keys),
-            dtype=np.int64,
-            count=len(keys),
-        )
+        buckets = crc_bucket(keys, n_buckets)
         return pa.table(
             {
                 "doc_id": batch.column("doc_id"),
@@ -6092,8 +6010,6 @@ def q_nb_classify_bucketed(sf_dir: str, n_buckets: int = 64, _counts_ds=None):
     ``_counts_ds`` lets q_nb_classify hand over its already-materialized
     merged (lang, token, n) table (doc-prior rows marked n < 0) so the
     over-limit handoff does not recount the corpus from raw text."""
-    import zlib
-
     import ray
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "text"])
@@ -6176,13 +6092,7 @@ def q_nb_classify_bucketed(sf_dir: str, n_buckets: int = 64, _counts_ds=None):
                 "lang": t.column("lang"),
                 "token": t.column("token"),
                 "n": t.column("n"),
-                "bucket": pa.array(
-                    [
-                        zlib.crc32(s.encode()) % n_buckets
-                        for s in t.column("token").to_pylist()
-                    ],
-                    type=pa.int64(),
-                ),
+                "bucket": pa.array(crc_bucket(t.column("token"), n_buckets)),
             }
         )
 
@@ -6258,10 +6168,7 @@ def q_nb_classify_bucketed(sf_dir: str, n_buckets: int = 64, _counts_ds=None):
         zero = np.zeros(len(ids), dtype=np.int64)
         for c in lp_cols:
             out[c] = pa.array(zero, type=pa.int64())
-        out["bucket"] = pa.array(
-            [zlib.crc32(s.encode()) % n_buckets for s in flat.to_pylist()],
-            type=pa.int64(),
-        )
+        out["bucket"] = pa.array(crc_bucket(flat, n_buckets))
         return pa.table(out)
 
     both = grid.union(ds.map_batches(explode, batch_format="pyarrow"))
@@ -6610,8 +6517,6 @@ def q_bpe_train_merges(sf_dir: str, n_merges: int = 3, n_buckets: int = 64):
     partials + ONE crc32(pair)-bucketed merge with per-bucket argmax
     pruning; only n_buckets candidate rows reach the driver per
     round."""
-    import zlib
-
     ds = _read(sf_dir, "documents", columns=["text"])
     merges: list[str] = []
     out_rows = []
@@ -6629,7 +6534,7 @@ def q_bpe_train_merges(sf_dir: str, n_merges: int = 3, n_buckets: int = 64):
             pi = np.flatnonzero(mask)
             df = pd.DataFrame({"p": flat[pi] + "\x01" + flat[pi + 1]})
             g = df.groupby("p", as_index=False).size()
-            g["bucket"] = [zlib.crc32(s.encode()) % n_buckets for s in g.p]
+            g["bucket"] = crc_bucket(g.p, n_buckets)
             return pa.Table.from_pandas(
                 g.rename(columns={"size": "c"}), preserve_index=False
             )
@@ -6723,7 +6628,6 @@ def q_snapshot_full_outer(sf_dir: str, n_buckets: int = 64):
     with zero-fill; per-bucket groups are exact because a key lives in
     one bucket."""
     import hashlib
-    import zlib
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -6735,7 +6639,7 @@ def q_snapshot_full_outer(sf_dir: str, n_buckets: int = 64):
         ]
         df = pd.DataFrame({"k": keys, "prior": (ids % 3 == 0).astype(np.int64)})
         g = df.groupby(["k", "prior"], as_index=False).size()
-        g["bucket"] = [zlib.crc32(s.encode()) % n_buckets for s in g.k]
+        g["bucket"] = crc_bucket(g.k, n_buckets)
         return pa.Table.from_pandas(
             g.rename(columns={"size": "c"}), preserve_index=False
         )
@@ -6799,8 +6703,6 @@ def q_bigram_logprob(sf_dir: str, broadcast_limit: int = 2_000_000, n_buckets: i
     (c2 joins c1 where both live), re-keyed by pair to attach to
     exploded doc pairs, and per-doc partials merge doc-bucketed —
     q_bigram_logprob_bucketed, equality-pinned by test."""
-    import zlib
-
     import ray
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -6887,8 +6789,6 @@ def q_bigram_logprob_bucketed(sf_dir: str, n_buckets: int = 64, _uni_ds=None, _p
     ``_uni_ds``/``_pair_ds`` let q_bigram_logprob hand over its already
     merged count tables on the over-limit path, so the corpus is
     re-read only for the cheap explode pass — never recounted."""
-    import zlib
-
     import ray
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -6921,13 +6821,7 @@ def q_bigram_logprob_bucketed(sf_dir: str, n_buckets: int = 64, _uni_ds=None, _p
                 "w1": batch.column("w1"),
                 "p": batch.column("p"),
                 "c": batch.column("c2"),
-                "bucket": pa.array(
-                    [
-                        zlib.crc32(s.encode()) % n_buckets
-                        for s in batch.column("w1").to_pylist()
-                    ],
-                    type=pa.int64(),
-                ),
+                "bucket": pa.array(crc_bucket(batch.column("w1"), n_buckets)),
             }
         )
 
@@ -6938,13 +6832,7 @@ def q_bigram_logprob_bucketed(sf_dir: str, n_buckets: int = 64, _uni_ds=None, _p
                 "w1": batch.column("t"),
                 "p": pa.array([None] * batch.num_rows, type=pa.string()),
                 "c": batch.column("c"),
-                "bucket": pa.array(
-                    [
-                        zlib.crc32(s.encode()) % n_buckets
-                        for s in batch.column("t").to_pylist()
-                    ],
-                    type=pa.int64(),
-                ),
+                "bucket": pa.array(crc_bucket(batch.column("t"), n_buckets)),
             }
         )
 
@@ -6979,13 +6867,7 @@ def q_bigram_logprob_bucketed(sf_dir: str, n_buckets: int = 64, _uni_ds=None, _p
                     "p": b.column("p"),
                     "lp": b.column("lp"),
                     "doc_id": pa.array([-1] * b.num_rows, type=pa.int64()),
-                    "bucket": pa.array(
-                        [
-                            zlib.crc32(s.encode()) % n_buckets
-                            for s in b.column("p").to_pylist()
-                        ],
-                        type=pa.int64(),
-                    ),
+                    "bucket": pa.array(crc_bucket(b.column("p"), n_buckets)),
                 }
             ),
             batch_format="pyarrow",
@@ -7007,10 +6889,7 @@ def q_bigram_logprob_bucketed(sf_dir: str, n_buckets: int = 64, _uni_ds=None, _p
                 "p": pa.array(ps, type=pa.string()),
                 "lp": pa.array(np.zeros(len(ids), dtype=np.int64), type=pa.int64()),
                 "doc_id": pa.array(ids, type=pa.int64()),
-                "bucket": pa.array(
-                    [zlib.crc32(s.encode()) % n_buckets for s in ps],
-                    type=pa.int64(),
-                ),
+                "bucket": pa.array(crc_bucket(ps, n_buckets)),
             }
         )
 

@@ -24,6 +24,7 @@ import pyarrow as pa
 # module-level bind, NOT a function-level import: this module can ship
 # to workers by value, where a live `import rapidocr_ray...` inside a
 # function fails off-repo-CWD
+from rapidocr_ray.functions.hashing import crc_bucket
 from rapidocr_ray.glyphs import GLYPH_H, GLYPHS, render_line
 
 BOX_GRAY = 128
@@ -190,7 +191,6 @@ def write_bucketed_parquet(ds, out_dir: str, key: str, n_buckets: int = 16):
     silent null bucket would pair wrongly in downstream joins).
     Hive-style ``partition_cols`` so ``read_bucketed_parquet`` prunes
     whole directories at the read."""
-    import zlib
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         col = batch.column(key)
@@ -200,11 +200,7 @@ def write_bucketed_parquet(ds, out_dir: str, key: str, n_buckets: int = 16):
             v = np.asarray(col).astype(np.uint64)
             b = (_splitmix64(v) % np.uint64(n_buckets)).astype(np.int64)
         else:
-            b = np.fromiter(
-                (zlib.crc32(s.encode()) % n_buckets for s in col.to_pylist()),
-                dtype=np.int64,
-                count=len(col),
-            )
+            b = crc_bucket(col, n_buckets)
         return batch.append_column("bucket", pa.array(b, type=pa.int64()))
 
     ds.map_batches(add_bucket, batch_format="pyarrow").write_parquet(

@@ -37,28 +37,17 @@ standard simplification; the derived graph has none (every doc emits
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from rapidocr_ray.functions.hashing import crc_bucket
 from rapidocr_ray.util import ensure_worker_importable
 
 TOTAL_NANO = 10**12
 DAMP_NUM = 85
 DAMP_DEN = 100
 EDGE_MULT = 48271  # MINSTD multiplier: cheap full-period doc_id scrambler
-
-
-def _crc_bucket(values, n_buckets: int) -> pa.Array:
-    """Bounded shuffle key for STRING keys (domains).  INTENTIONAL
-    per-value Python loop: there is no vectorized Arrow crc32, domain
-    keys are short, and this runs once per batch over already-collapsed
-    partials (bounded by the domain count, not the doc count)."""
-    return pa.array(
-        [zlib.crc32(v.encode("utf-8")) % n_buckets for v in values], type=pa.int64()
-    )
 
 
 def derive_domain_edges(ds, n_docs: int, out_links: int = 3, n_buckets: int = 64):
@@ -155,7 +144,7 @@ def derive_domain_edges(ds, n_docs: int, out_links: int = 3, n_buckets: int = 64
                 batch.column("src").to_pylist(), batch.column("dst").to_pylist()
             )
         ]
-        return batch.append_column("bucket", _crc_bucket(keys, n_buckets))
+        return batch.append_column("bucket", pa.array(crc_bucket(keys, n_buckets)))
 
     def merge_w(group: pd.DataFrame) -> pa.Table:
         agg = group.groupby(["src", "dst"], sort=False)["w"].sum().reset_index()
@@ -330,7 +319,7 @@ def pagerank_int(
 
     def src_bucket(batch: pa.Table) -> pa.Table:
         return batch.append_column(
-            "bucket", _crc_bucket(batch.column("src").to_pylist(), n_buckets)
+            "bucket", pa.array(crc_bucket(batch.column("src"), n_buckets))
         )
 
     def attach_ow(group: pd.DataFrame) -> pa.Table:
@@ -379,7 +368,7 @@ def pagerank_int(
 
     def node_bucket(batch: pa.Table) -> pa.Table:
         return batch.append_column(
-            "bucket", _crc_bucket(batch.column("node").to_pylist(), n_buckets)
+            "bucket", pa.array(crc_bucket(batch.column("node"), n_buckets))
         )
 
     def node_unique(group: pd.DataFrame) -> pa.Table:
@@ -415,7 +404,7 @@ def pagerank_int(
                 "w": pa.array(np.full(n, -1, dtype=np.int64), type=pa.int64()),
                 "ow": pa.array(np.full(n, -1, dtype=np.int64), type=pa.int64()),
                 "r": pa.array(np.full(n, r0, dtype=np.int64), type=pa.int64()),
-                "bucket": _crc_bucket(batch.column("node").to_pylist(), n_buckets),
+                "bucket": pa.array(crc_bucket(batch.column("node"), n_buckets)),
             }
         )
 
@@ -450,7 +439,7 @@ def pagerank_int(
                 # dst rows hash to THEIR node's bucket for stage 2 —
                 # the only per-round hashing left (bounded by the
                 # group's distinct dst count, not the edge count)
-                "bucket": _crc_bucket(part.index, n_buckets),
+                "bucket": pa.array(crc_bucket(part.index, n_buckets)),
             }
         )
 
@@ -461,7 +450,7 @@ def pagerank_int(
                 "node": pa.array(batch.column("node"), type=pa.string()),
                 "insum": pa.array(np.zeros(n, dtype=np.int64), type=pa.int64()),
                 "is_node": pa.array(np.ones(n, dtype=np.int8), type=pa.int8()),
-                "bucket": _crc_bucket(batch.column("node").to_pylist(), n_buckets),
+                "bucket": pa.array(crc_bucket(batch.column("node"), n_buckets)),
             }
         )
 

@@ -1,21 +1,20 @@
 """Ray Data stages of the extraction pipeline.
 
-The reference's single-process cascade (rapid_ocr_api.py:56-107) is cut
-at its natural IR boundaries (SURVEY.md §3.1) into Dataset stages:
+The reference's single-process cascade (rapid_ocr_api.py:56-107) runs
+as two Dataset stages:
 
-    decode/route/html (stateless MB)  ->  det (actor pool, fan-out to
-    region rows)  ->  cls (actor pool)  ->  rec (actor pool)  ->
-    assembly (groupby url)
+    decode/route/html (stateless map)  ->  cascade (actor pool: det ->
+    cls -> rec -> per-document assembly)
 
-All stages exchange one unified Arrow schema in which a row is either a
-*document* row (``is_region == false``) or a *region* row produced by
-the det stage's 1->N crop fan-out (M9; keyed ``(url, region_idx)`` so
-assembly never depends on block arrival order — SURVEY.md §7.4).
-Stateful stages are callable classes: model registry built once per
-actor in ``__init__`` (T1/T3 analog), work in ``__call__`` per batch,
-batched ACROSS documents and grouped by ``lang`` for model dispatch
-(J3).  Batch composition cannot change results: pad width (A1) only
-adds blank timesteps, which the CTC decode drops.
+``DecodeRouteExtract`` emits one *document* row per page in
+``UNIFIED_SCHEMA``; ``CascadeStage`` turns those rows into
+``FINAL_SCHEMA`` rows.  Crops never leave the cascade actor, so the
+pipeline has no all-to-all operation after dedup.  Stateful stages are
+callable classes: model registry built once per actor in ``__init__``
+(T1/T3 analog), work in ``__call__`` per batch, batched ACROSS
+documents and grouped by ``lang`` for model dispatch (J3).  Batch
+composition cannot change results: pad width (A1) only adds blank
+timesteps, which the CTC decode drops.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from rapidocr_ray.functions.imgproc import (
 )
 from rapidocr_ray.functions.codecs import decode_page_image
 from rapidocr_ray.functions.pdf import PDF_MAGIC, parse_pdf
-from rapidocr_ray.glyphs import MAGIC, decode_rbmp, encode_rbmp, is_rbmp
+from rapidocr_ray.glyphs import MAGIC, encode_rbmp, is_rbmp
 
 # routes whose payload column carries a decodable page bitmap for the
 # det->cls->rec cascade (pdf_raster = scanned-PDF raster re-wrapped as
@@ -60,6 +59,8 @@ from rapidocr_ray.stages.cascade import (
 )
 from rapidocr_ray.state.models import ModelRegistry
 
+# DecodeRouteExtract -> CascadeStage row format: one row per document,
+# exactly the columns the cascade reads
 UNIFIED_SCHEMA = pa.schema(
     [
         ("url", pa.string()),
@@ -68,18 +69,7 @@ UNIFIED_SCHEMA = pa.schema(
         ("route", pa.string()),
         ("err", pa.string()),
         ("extracted_text", pa.string()),
-        ("n_regions", pa.int32()),
-        ("is_region", pa.bool_()),
-        ("region_idx", pa.int32()),
-        ("box", pa.list_(pa.int32())),
         ("payload", pa.binary()),
-        ("cls_label", pa.string()),
-        ("cls_score", pa.float64()),
-        ("rec_text", pa.string()),
-        ("rec_score", pa.float64()),
-        ("det_elapse", pa.float64()),
-        ("cls_elapse", pa.float64()),
-        ("rec_elapse", pa.float64()),
     ]
 )
 
@@ -99,16 +89,10 @@ FINAL_SCHEMA = pa.schema(
     ]
 )
 
-_UNIFIED_NAMES = [f.name for f in UNIFIED_SCHEMA]
 
-
-def _blank_row() -> dict:
-    return {name: None for name in _UNIFIED_NAMES}
-
-
-def rows_to_table(rows: list[dict], schema: pa.Schema = UNIFIED_SCHEMA) -> pa.Table:
-    cols = {f.name: [r.get(f.name) for r in rows] for f in schema}
-    return pa.table(cols, schema=schema)
+def rows_to_table(rows: list[dict]) -> pa.Table:
+    cols = {f.name: [r.get(f.name) for r in rows] for f in FINAL_SCHEMA}
+    return pa.table(cols, schema=FINAL_SCHEMA)
 
 
 GZIP_MAGIC = b"\x1f\x8b"
@@ -374,142 +358,14 @@ class DecodeRouteExtract:
             "route": pa.array(routes, type=pa.string()),
             "err": pa.array(errs, type=pa.string()),
             "extracted_text": pa.array(extracted, type=pa.string()),
-            "n_regions": pa.array(np.zeros(n, dtype=np.int32)),
-            "is_region": pa.array(np.zeros(n, dtype=bool)),
             "payload": payload_col,
         }
-        arrays = [
-            cols[f.name].cast(f.type) if f.name in cols else pa.nulls(n, type=f.type)
-            for f in UNIFIED_SCHEMA
-        ]
+        arrays = [cols[f.name].cast(f.type) for f in UNIFIED_SCHEMA]
         return pa.Table.from_arrays(arrays, schema=UNIFIED_SCHEMA)
 
 
-class DetStage:
-    """Det actor pool (T1 analog): decode RBMP, M17 routing, M1-M7 det,
-    M8 reading-order sort, M9 crop fan-out to region rows."""
-
-    def __init__(self, cfg: PipelineConfig | None = None):
-        self.cfg = cfg or PipelineConfig()
-        self.registry = ModelRegistry(self.cfg.Global.backend)
-        self.detector = TextDetector(self.cfg.Det, self.registry)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        g = self.cfg.Global
-        # payload bytes are read zero-copy from the arrow buffer; every
-        # other column is small, so to_pylist on the remainder is cheap.
-        # Upstream guarantees non-bitmap rows carry a null payload, so
-        # dropping the column loses nothing for the passthrough rows.
-        payload_col = batch.column("payload").combine_chunks()
-        rows = batch.drop_columns(["payload"]).to_pylist()
-        out: list[dict] = []
-        for i, row in enumerate(rows):
-            row["payload"] = None
-            if row["route"] not in CASCADE_ROUTES or row["err"] is not None:
-                out.append(row)
-                continue
-            t0 = time.perf_counter()
-            try:
-                pay = payload_col[i]
-                img = decode_page_image(pay.as_buffer() if pay.is_valid else b"")
-            except (ValueError, NotImplementedError) as exc:
-                row.update(route="error", err=str(exc))
-                out.append(row)
-                continue
-            h, w = img.shape
-            if not g.use_det or use_det_bypass(h, w, g.min_height, g.width_height_ratio):
-                boxes = [whole_image_box(h, w)]  # M17 (rapid_ocr_api.py:114-119)
-            else:
-                det_boxes = self.detector(img, row["lang"])
-                boxes = sorted_boxes(det_boxes) if len(det_boxes) else []
-            det_elapse = time.perf_counter() - t0
-            row.update(payload=None, n_regions=len(boxes), det_elapse=det_elapse)
-            out.append(row)  # doc row survives even when empty (M18)
-            for ridx, box in enumerate(boxes):
-                crop = crop_box(img, np.asarray(box))
-                region = _blank_row()
-                region.update(
-                    url=row["url"],
-                    lang=row["lang"],
-                    route="bitmap",
-                    is_region=True,
-                    region_idx=ridx,
-                    box=[int(v) for v in np.asarray(box).reshape(-1)],
-                    payload=encode_rbmp(crop),
-                )
-                out.append(region)
-        return rows_to_table(out)
-
-
-def _region_indices_by_lang(batch: pa.Table) -> dict[str, list[int]]:
-    is_region = batch.column("is_region").to_pylist()
-    langs = batch.column("lang").to_pylist()
-    groups: dict[str, list[int]] = {}
-    for i, (reg, lang) in enumerate(zip(is_region, langs)):
-        if reg:
-            groups.setdefault(lang or "en", []).append(i)
-    return groups
-
-
-class ClsStage:
-    """Cls actor pool: M10-M12 + M16 over region rows, batched across
-    documents, dispatched per lang (T3 grouped dispatch)."""
-
-    def __init__(self, cfg: PipelineConfig | None = None):
-        self.cfg = cfg or PipelineConfig()
-        self.registry = ModelRegistry(self.cfg.Global.backend)
-        self.classifier = TextClassifier(self.cfg.Cls, self.registry)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if not self.cfg.Global.use_cls:
-            return batch
-        payload_col = batch.column("payload").combine_chunks()
-        rows = batch.drop_columns(["payload"]).to_pylist()
-        for row in rows:  # region rows get re-encoded crops below
-            row["payload"] = None
-        for lang, idxs in _region_indices_by_lang(batch).items():
-            t0 = time.perf_counter()
-            crops = [decode_rbmp(payload_col[i].as_buffer()) for i in idxs]
-            crops, cls_res = self.classifier(crops, lang)
-            share = (time.perf_counter() - t0) / max(1, len(idxs))
-            for i, crop, (label, score) in zip(idxs, crops, cls_res):
-                rows[i].update(
-                    payload=encode_rbmp(crop),
-                    cls_label=label,
-                    cls_score=score,
-                    cls_elapse=share,
-                )
-        return rows_to_table(rows)
-
-
-class RecStage:
-    """Rec actor pool: M13-M14 + M16/A1 over region rows; drops the crop
-    payload afterwards so the assembly shuffle moves only text."""
-
-    def __init__(self, cfg: PipelineConfig | None = None):
-        self.cfg = cfg or PipelineConfig()
-        self.registry = ModelRegistry(self.cfg.Global.backend)
-        self.recognizer = TextRecognizer(self.cfg.Rec, self.registry)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payload_col = batch.column("payload").combine_chunks()
-        rows = batch.drop_columns(["payload"]).to_pylist()
-        for row in rows:  # rec drops crops; doc rows are already null
-            row["payload"] = None
-        for lang, idxs in _region_indices_by_lang(batch).items():
-            t0 = time.perf_counter()
-            crops = [decode_rbmp(payload_col[i].as_buffer()) for i in idxs]
-            rec_res = self.recognizer(crops, lang)
-            share = (time.perf_counter() - t0) / max(1, len(idxs))
-            for i, (text, score) in zip(idxs, rec_res):
-                rows[i].update(
-                    payload=None, rec_text=text, rec_score=score, rec_elapse=share
-                )
-        return rows_to_table(rows)
-
-
 class CascadeStage:
-    """Fused det -> cls -> rec actor-pool stage (the default physical
+    """Fused det -> cls -> rec actor-pool stage (the only extraction
     plan).  The reference's stage boundaries are per-doc function calls
     inside one process (SURVEY.md §3.1 'all the boundaries are ours to
     draw'); fusing them into one Ray stage means crop payloads NEVER
@@ -518,16 +374,10 @@ class CascadeStage:
     micro-batching is batch-composition-invariant, tested in
     tests/test_cascade.py::test_batch_composition_invariant).
 
-    The split stages (DetStage/ClsStage/RecStage) remain available for
-    pipelines that need independent per-stage scaling (e.g. a GPU rec
-    pool); `PipelineConfig.Ray.fuse_cascade` picks the plan.
-
     Because every region of a document is produced and consumed inside
-    ONE actor call, the fused stage also performs the per-document
-    assembly (J1/M15/A5/A6) and emits FINAL_SCHEMA rows directly — the
-    fused pipeline therefore has NO all-to-all operation after dedup
-    (the unfused plan still needs the groupby-url assembly, since its
-    region rows cross stage boundaries)."""
+    ONE actor call, the stage also performs the per-document assembly
+    (J1/M15/A5/A6) and emits FINAL_SCHEMA rows directly, so the
+    pipeline has NO all-to-all operation after dedup."""
 
     def __init__(self, cfg: PipelineConfig | None = None):
         self.cfg = cfg or PipelineConfig()
@@ -642,72 +492,18 @@ class CascadeStage:
             if g.use_cls:
                 final["cls_elapse"] = float(sum(r[4] for r in regions))
             final["rec_elapse"] = float(sum(r[5] for r in regions))
-        return rows_to_table(docs, schema=FINAL_SCHEMA)
-
-
-def assemble_group(group: pa.Table, text_score: float = 0.5) -> pa.Table:
-    """J1/M15/A5/A6 per url: positional join of boxes with rec results
-    (already keyed by region_idx), score filter, ordered '\\n' concat."""
-    rows = group.to_pylist()
-    docs = [r for r in rows if not r["is_region"]]
-    regions = sorted(
-        (r for r in rows if r["is_region"]), key=lambda r: r["region_idx"]
-    )
-    if not docs:  # defensive: regions without a doc row should not happen
-        docs = [dict(rows[0], is_region=False, n_regions=len(regions))]
-    doc = docs[0]
-    out = {
-        "url": doc["url"],
-        "warc_ts": doc["warc_ts"],
-        "lang": doc["lang"],
-        "route": doc["route"],
-        "err": doc["err"],
-        "extracted_text": doc["extracted_text"],
-        "n_spans": 0,
-        "spans": "[]",
-        "det_elapse": doc["det_elapse"],
-        "cls_elapse": None,
-        "rec_elapse": None,
-    }
-    if regions:
-        # M15 filter_boxes_rec_by_score (rapid_ocr_api.py:176-183)
-        kept = [r for r in regions if (r["rec_score"] or 0.0) >= text_score]
-        if kept:
-            out["extracted_text"] = "\n".join(r["rec_text"] for r in kept)  # A5
-            out["n_spans"] = len(kept)
-            out["spans"] = json.dumps(
-                [
-                    {"box": r["box"], "text": r["rec_text"], "score": r["rec_score"]}
-                    for r in kept
-                ]
-            )
-        else:
-            out["extracted_text"] = None  # M18: empty result -> null, row kept
-        cls_vals = [r["cls_elapse"] for r in regions if r["cls_elapse"] is not None]
-        rec_vals = [r["rec_elapse"] for r in regions if r["rec_elapse"] is not None]
-        out["cls_elapse"] = float(sum(cls_vals)) if cls_vals else None
-        out["rec_elapse"] = float(sum(rec_vals)) if rec_vals else None
-    return rows_to_table([out], schema=FINAL_SCHEMA)
-
-
-def dedup_latest_group(group: pa.Table) -> pa.Table:
-    """Exact dedup by url, latest capture wins (north rule; tie-break by
-    warc_ts max — SURVEY.md §2.6).  Per-url variant (one group per url)."""
-    idx = pc.sort_indices(
-        group, sort_keys=[("warc_ts", "descending"), ("url", "ascending")]
-    )
-    return group.take(idx[:1])
+        return rows_to_table(docs)
 
 
 N_URL_BUCKETS = 256  # bounded shuffle fan-in for url-keyed groupbys
 
 
 def add_url_bucket(batch: pa.Table) -> pa.Table:
-    """Stable url hash bucket — the explicit partition key for the
-    dedup and assembly shuffles (ONE key reused across both,
-    SURVEY.md §7.3).  pandas hash_array is a C-level siphash with a
-    fixed key: deterministic across processes/runs (unlike builtin
-    hash) and vectorized (the round-2 per-row blake2b loop is gone)."""
+    """Stable url hash bucket — the partition key of the strict
+    (hash-bucketed groupby) dedup shuffle, SURVEY.md §7.3.  pandas
+    hash_array is a C-level siphash with a fixed key: deterministic
+    across processes/runs (unlike builtin hash) and vectorized (the
+    round-2 per-row blake2b loop is gone)."""
     import pandas as pd
 
     h = pd.util.hash_array(
@@ -738,59 +534,3 @@ def dedup_bucket(group: pa.Table) -> pa.Table:
         ]
     )
     return s.filter(first)
-
-
-def assemble_bucket(group: pa.Table, text_score: float = 0.5) -> pa.Table:
-    """Assembly over ONE url bucket: J1/M15/A5/A6 for every url in the
-    bucket.  Sorting and splitting are vectorized; the per-url join is
-    a tight loop over numpy slices."""
-    import numpy as np
-
-    df = group.to_pandas()
-    df = df.sort_values(
-        ["url", "is_region", "region_idx"], kind="mergesort"
-    ).reset_index(drop=True)
-    urls = df["url"].to_numpy()
-    bounds = np.flatnonzero(np.concatenate([[True], urls[1:] != urls[:-1]]))
-    bounds = np.append(bounds, len(urls))
-    out_rows = []
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        sub = df.iloc[s:e]
-        doc = sub[~sub.is_region.fillna(False)]
-        regions = sub[sub.is_region.fillna(False)]
-        base = doc.iloc[0] if len(doc) else regions.iloc[0]
-        out = {
-            "url": base["url"],
-            "warc_ts": None if len(doc) == 0 else doc.iloc[0]["warc_ts"],
-            "lang": base["lang"],
-            "route": base["route"],
-            "err": base["err"],
-            "extracted_text": None if len(doc) == 0 else doc.iloc[0]["extracted_text"],
-            "n_spans": 0,
-            "spans": "[]",
-            "det_elapse": None if len(doc) == 0 else doc.iloc[0]["det_elapse"],
-            "cls_elapse": None,
-            "rec_elapse": None,
-        }
-        if len(regions):
-            scores = regions["rec_score"].fillna(0.0)
-            kept = regions[scores >= text_score]
-            if len(kept):
-                out["extracted_text"] = "\n".join(kept["rec_text"])  # A5
-                out["n_spans"] = int(len(kept))
-                out["spans"] = json.dumps(
-                    [
-                        {"box": [int(v) for v in b], "text": t, "score": float(sc)}
-                        for b, t, sc in zip(
-                            kept["box"], kept["rec_text"], kept["rec_score"]
-                        )
-                    ]
-                )
-            else:
-                out["extracted_text"] = None  # M18
-            cls_vals = regions["cls_elapse"].dropna()
-            rec_vals = regions["rec_elapse"].dropna()
-            out["cls_elapse"] = float(cls_vals.sum()) if len(cls_vals) else None
-            out["rec_elapse"] = float(rec_vals.sum()) if len(rec_vals) else None
-        out_rows.append(out)
-    return rows_to_table(out_rows, schema=FINAL_SCHEMA)

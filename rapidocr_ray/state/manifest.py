@@ -314,7 +314,7 @@ def run_resumable(
         build_extract_pipeline,
         read_pages,
     )
-    from rapidocr_ray.util import harden_lazy_imports
+    from rapidocr_ray.util import harden_lazy_imports, session_cpus
 
     harden_lazy_imports()
     os.makedirs(out_dir, exist_ok=True)
@@ -327,12 +327,7 @@ def run_resumable(
     k = max(1, min(partition_parallelism, len(groups)))
     slice_cap = None
     if k > 1:
-        import ray as _ray
-
-        try:
-            cpus = int(_ray.cluster_resources().get("CPU", 8))
-        except Exception:  # pragma: no cover — session not up yet
-            cpus = 8
+        cpus = session_cpus()
         # each concurrent partition needs >= 2 cascade actors plus
         # headroom for its read tasks; on tiny sessions concurrency
         # degrades to serial rather than deadlocking the scheduler

@@ -54,6 +54,17 @@ def harden_lazy_imports() -> None:
     pu._is_http_filesystem = _safe_is_http_filesystem
 
 
+def session_cpus() -> int:
+    """CPU count of the connected Ray session; 8 when no session is up
+    yet."""
+    import ray
+
+    try:
+        return int(ray.cluster_resources().get("CPU", 8))
+    except Exception:  # pragma: no cover — session not up yet
+        return 8
+
+
 def lru_cache_get(cache: dict, key, build, maxsize: int = 4):
     """Tiny per-worker broadcast LRU: keep up to ``maxsize`` broadcast
     objects alive per worker instead of clear-on-new-key, so two dedup

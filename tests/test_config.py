@@ -21,9 +21,22 @@ def test_cls_double_prefix_both_spellings():
     assert cfg2.Cls.cls_thresh == 0.7
 
 
-def test_unknown_key_raises():
+@pytest.mark.parametrize(
+    "key",
+    [
+        "bogus_knob",
+        # knobs of the removed unfused det/cls/rec plan: a stale override
+        # must fail loudly, not be silently accepted
+        "ray_fuse_cascade",
+        "ray_det_concurrency",
+        "ray_cls_concurrency",
+        "ray_rec_concurrency",
+        "ray_batch_size_regions",
+    ],
+)
+def test_unknown_key_raises(key):
     with pytest.raises(KeyError):
-        PipelineConfig().with_overrides(bogus_knob=1)
+        PipelineConfig().with_overrides(**{key: 1})
 
 
 def test_immutable():

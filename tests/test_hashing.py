@@ -6,6 +6,21 @@ import pytest
 from rapidocr_ray.functions import hashing as hx
 
 
+def test_crc_bucket_matches_zlib():
+    import zlib
+
+    import pyarrow as pa
+
+    keys = ["", "a", "example.com", "naïve café", "日本語", "a b\x01c"]
+    want = [zlib.crc32(k.encode()) % 64 for k in keys]
+    got = hx.crc_bucket(keys, 64)
+    assert got.dtype == np.int64 and got.tolist() == want
+    # Arrow arrays (plain and chunked) hash the same as their values
+    assert hx.crc_bucket(pa.array(keys), 64).tolist() == want
+    assert hx.crc_bucket(pa.chunked_array([keys[:2], keys[2:]]), 64).tolist() == want
+    assert hx.crc_bucket([], 7).dtype == np.int64
+
+
 def test_word_shingles():
     assert hx.word_shingles("a b c d", 3) == ["a b c", "b c d"]
     assert hx.word_shingles("a b", 3) == ["a b"]

@@ -80,20 +80,6 @@ def test_documents_roundtrip_matches_source_text(ray_session):
     assert checked > 0
 
 
-def test_unfused_cascade_matches_oracle(ray_session):
-    """fuse_cascade=False (independent det/cls/rec pools) must produce
-    the same bytes as the fused plan and the oracle."""
-    from rapidocr_ray.config import PipelineConfig
-    from rapidocr_ray.pipelines.extract import extract_pages_table
-
-    pages = synth_pages(60, seed=123)
-    cfg = PipelineConfig().with_overrides(ray_fuse_cascade=False)
-    got = _to_sorted_pandas(extract_pages_table(pages, cfg=cfg).to_pandas())
-    want = _to_sorted_pandas(OracleExtractor().run(pages))
-    for col in COMPARE_COLS:
-        assert got[col].fillna("<N>").tolist() == want[col].fillna("<N>").tolist(), col
-
-
 def test_entry_smoke(ray_session):
     import importlib
     import sys
