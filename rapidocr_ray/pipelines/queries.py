@@ -6344,7 +6344,8 @@ def q_kmeans_int_iters(sf_dir: str, k: int = 4, n_iter: int = 3, scale: int = 1_
     k x n_blocks partial rows per round; the corpus never shuffles."""
     ids, mat = _load_queries(sf_dir, n=k)
     cent = np.floor(mat * scale).astype(np.int64)  # (k, dim)
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
+    # read once: every round and the final pass scan the same blocks
+    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"]).materialize()
     dim = cent.shape[1]
 
     def quant(batch: pa.Table) -> np.ndarray:
@@ -6517,7 +6518,8 @@ def q_bpe_train_merges(sf_dir: str, n_merges: int = 3, n_buckets: int = 64):
     partials + ONE crc32(pair)-bucketed merge with per-bucket argmax
     pruning; only n_buckets candidate rows reach the driver per
     round."""
-    ds = _read(sf_dir, "documents", columns=["text"])
+    # read once: every round rescans the same blocks
+    ds = _read(sf_dir, "documents", columns=["text"]).materialize()
     merges: list[str] = []
     out_rows = []
     for it in range(1, n_merges + 1):

@@ -205,19 +205,6 @@ def deskew_band(band: np.ndarray) -> np.ndarray:
     return tight_ink_crop(out)
 
 
-def crop_wh_ratio(img: np.ndarray) -> float:
-    """w/h of the rectified (tight, DESKEWED) band — the M16 sort key.
-
-    Deskew must be applied here too: rec_resize_norm_ch0 resizes the
-    deskewed band, and deskew can shrink the band height (raising its
-    aspect); deriving max_wh_ratio from the non-deskewed crop would cap
-    imgW below the band's true aspect and force a non-integer resize on
-    rotated crops.  Axis-aligned bands pass through deskew unchanged,
-    so the clean path is unaffected."""
-    band = deskew_band(tight_ink_crop(img))
-    return band.shape[1] / float(band.shape[0])
-
-
 def most_angle(cls_res: list[tuple[str, float]]) -> str:
     """A4 majority vote (C++-only feature, AngleNet.cpp:113-130): mean
     of angle indices vs 0.5 decides ONE angle for all of a document's
@@ -255,7 +242,15 @@ class TextRecognizer:
         c = self.cfg
         n = len(img_list)
         results: list[tuple[str, float]] = [("", 0.0)] * n
-        ratios = [crop_wh_ratio(im) for im in img_list]
+        # rectify each crop once: the tight, DESKEWED band gives the M16
+        # sort key (w/h) and is the fast path's rec input.  Deskew can
+        # shrink the band height (raising its aspect); the contract path
+        # resizes the same deskewed band inside rec_resize_norm_ch0, so
+        # a ratio from the non-deskewed crop would cap imgW below the
+        # band's true aspect and force a non-integer resize on rotated
+        # crops.  Axis-aligned bands pass through deskew unchanged.
+        bands = [deskew_band(tight_ink_crop(im)) for im in img_list]
+        ratios = [b.shape[1] / float(b.shape[0]) for b in bands]
         indices = np.argsort(np.array(ratios))  # M16 (text_recognize.py:44-51)
         model = self.registry.for_lang("rec", lang)
         _imgC, imgH, imgW = c.rec_img_shape
@@ -269,8 +264,7 @@ class TextRecognizer:
             for i in batch_idx:
                 max_wh_ratio = max(max_wh_ratio, ratios[i])
             if getattr(model, "infer_bands", None) is not None:
-                bands = [deskew_band(tight_ink_crop(img_list[i])) > 127 for i in batch_idx]
-                preds = model.infer_bands(bands)
+                preds = model.infer_bands([bands[i] > 127 for i in batch_idx])
             else:  # contract path: full M13 tensors
                 planes = np.stack([
                     rec_resize_norm_ch0(img_list[i], max_wh_ratio, c.rec_img_shape)

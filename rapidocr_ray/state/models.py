@@ -28,6 +28,7 @@ from rapidocr_ray.glyphs import (
     GLYPH_GAP,
     GLYPH_H,
     GLYPH_W,
+    TEMPLATE_INK,
     TEMPLATES,
 )
 from rapidocr_ray.functions.imgproc import IMAGENET_MEAN, IMAGENET_STD
@@ -232,6 +233,31 @@ class ClsModel:
         return out
 
 
+# rec GEMM operand: 1 - 2t per template pixel, flattened [GLYPH_H*GLYPH_W, C-1]
+_WIN_PX = GLYPH_H * GLYPH_W
+_TEMPLATE_SIGNS = np.ascontiguousarray((1.0 - 2.0 * TEMPLATES).reshape(len(TEMPLATES), _WIN_PX).T)
+# the 8 +/-1 px retry offsets as (1+dy, 1+dx) indices into the 3x3
+# offset axes of RecModel's shifted-window view, in (dy, dx) loop order
+_RETRY_DY, _RETRY_DX = np.array(
+    [(1 + dy, 1 + dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx]
+).T
+
+
+def _template_match(windows: np.ndarray) -> np.ndarray:
+    """binary float32 windows [n, GLYPH_H*GLYPH_W] -> match [n, C-1],
+    1 - L1(w, t) / (GLYPH_H*GLYPH_W) against every template t.
+
+    For binary vectors L1(w, t) = |w| + |t| - 2 w.t = w.(1 - 2t) + |t|,
+    so the whole matched filter is one GEMM plus the template ink
+    counts.  Every partial sum is an integer of magnitude <= 192, exact
+    in float32 under any summation order, so the result is bit-identical
+    to the broadcast sum of |w - t|."""
+    dist = windows @ _TEMPLATE_SIGNS
+    dist += TEMPLATE_INK
+    dist /= np.float32(_WIN_PX)
+    return np.subtract(np.float32(1.0), dist, out=dist)
+
+
 class RecModel:
     """CRNN-CTC stand-in: NCHW float32 (M13-normalized, h=48=4x glyph
     height) -> CTC logits [N, T, C].
@@ -240,7 +266,15 @@ class RecModel:
     emitting interleaved blank timesteps (T = 2*nmax+1) so the faithful
     CTC greedy decode (M14) — blank drop + repeat collapse — recovers
     doubled letters exactly as a real CRNN's blank-separated emissions
-    would."""
+    would.
+
+    The filter scores a binary window w against a binary template t as
+    1 - L1(w, t) / (GLYPH_H*GLYPH_W) with L1(w, t) = |w| + |t| - 2 w.t,
+    so the windows of every band in one call are scored by a single
+    ``[n_windows, 96] @ [96, C-1]`` GEMM (``_template_match``); every
+    term is a small integer, exact in float32, so the scores are
+    bit-identical to a broadcast sum of |w - t|.  The +/-1 px retry and
+    its tie rule are in ``_stacked_line_logits``."""
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         inks = []
@@ -267,18 +301,13 @@ class RecModel:
         tests/test_imgproc.py::test_resize_bilinear_4x_inversion and
         tests/test_cascade.py fast-vs-contract equality), so the hot
         path skips the float32 48-high tensor round trip entirely."""
-        per_item: list[np.ndarray] = []
-        max_chars = 0
-        for ink in inks:
-            logits = self._line_logits(ink)
-            max_chars = max(max_chars, logits.shape[0])
-            per_item.append(logits)
-        t_total = 2 * max_chars + 1
+        logits, counts = RecModel._stacked_line_logits(inks)
+        t_total = 2 * int(counts.max(initial=0)) + 1
         out = np.zeros((len(inks), t_total, N_CLASSES), dtype=np.float32)
         out[:, :, 0] = 1.0                 # blank-certain everywhere by default
-        for i, logits in enumerate(per_item):
-            for k in range(logits.shape[0]):
-                out[i, 2 * k + 1, :] = logits[k]
+        ends = np.cumsum(counts)
+        for i, n in enumerate(counts):
+            out[i, 1:2 * n + 1:2] = logits[ends[i] - n:ends[i]]
         return out
 
     # windows whose best direct match falls below this retry at +/-1 px
@@ -289,58 +318,76 @@ class RecModel:
 
     @staticmethod
     def _line_logits(ink: np.ndarray) -> np.ndarray:
-        """boolean [H, W] -> per-char class scores [n_chars, C].
+        """boolean [H, W] -> per-char class scores [n_chars, C]: one
+        band through ``_stacked_line_logits``."""
+        return RecModel._stacked_line_logits([ink])[0]
 
-        Direct strided matched filter at the glyph advance; windows
-        that score poorly (rotated/warped crops re-rasterized by the M9
-        perspective rectification introduce +/-1 px jitter) are re-tried
-        at the 8 neighbouring 1-px offsets and keep their best score —
-        the stand-in for a real CRNN's translation tolerance."""
-        rows = np.flatnonzero(ink.any(axis=1))
-        cols = np.flatnonzero(ink.any(axis=0))
-        if rows.size == 0 or cols.size == 0:
-            return np.zeros((0, N_CLASSES), dtype=np.float32)
-        band = ink[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-        bh, bw = band.shape
-        # glyph alphabet guarantees ink in first/last row+col of every
-        # non-space glyph, so the tight band is exactly GLYPH_H tall and
-        # starts/ends on glyph boundaries; degenerate crops fall back to
-        # a padded/cropped canvas (deterministic either way).
-        n_chars = (bw - 1) // GLYPH_ADVANCE + 1
-        # 1-px halo so the offset fallback can sample neighbours
-        canvas = np.zeros((GLYPH_H + 2, n_chars * GLYPH_ADVANCE + 2), dtype=np.float32)
-        canvas[1:1 + min(GLYPH_H + 1, bh), 1:1 + bw] = band[:GLYPH_H + 1, :]
-        core = canvas[1:1 + GLYPH_H, 1:]
-        isz = canvas.itemsize
-        windows = np.lib.stride_tricks.as_strided(
-            core,
-            shape=(n_chars, GLYPH_H, GLYPH_W),
-            strides=(GLYPH_ADVANCE * isz, canvas.shape[1] * isz, isz),
-        )
-        diff = np.abs(windows[:, None, :, :] - TEMPLATES[None, :, :, :])
-        match = 1.0 - diff.sum(axis=(2, 3)) / float(GLYPH_H * GLYPH_W)  # [n, C-1]
-        weak = np.flatnonzero(match.max(axis=1) < RecModel.OFFSET_SEARCH_THRESH)
-        for k in weak:
-            best = match[k]
-            for dy in (-1, 0, 1):
-                for dx in (-1, 0, 1):
-                    if dy == 0 and dx == 0:
-                        continue
-                    y0 = 1 + dy
-                    x0 = 1 + k * GLYPH_ADVANCE + dx
-                    win = canvas[y0:y0 + GLYPH_H, x0:x0 + GLYPH_W]
-                    if win.shape != (GLYPH_H, GLYPH_W):
-                        continue
-                    m = 1.0 - np.abs(win[None] - TEMPLATES).sum(axis=(1, 2)) / float(
-                        GLYPH_H * GLYPH_W
-                    )
-                    if m.max() > best.max():
-                        best = m
-            match[k] = best
-        logits = np.zeros((n_chars, N_CLASSES), dtype=np.float32)
+    @staticmethod
+    def _stacked_line_logits(inks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """boolean bands -> (per-char class scores of all bands stacked
+        in order [sum(counts), C], chars per band [len(inks)]).
+
+        Direct strided matched filter at the glyph advance, one GEMM over
+        the windows of every band; windows that score poorly
+        (rotated/warped crops re-rasterized by the M9 perspective
+        rectification introduce +/-1 px jitter) are re-tried at the 8
+        neighbouring 1-px offsets in one more GEMM over those windows
+        only — the stand-in for a real CRNN's translation tolerance.  A
+        weak window keeps the first candidate, in the order [direct,
+        (dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)], whose best
+        score is the highest: the direct match wins ties, and among
+        offsets the earlier one does."""
+        counts = np.zeros(len(inks), dtype=np.intp)
+        placed: list[tuple[np.ndarray, int]] = []  # (tight band, first slot)
+        n_slots = 0
+        for i, ink in enumerate(inks):
+            rows = np.flatnonzero(ink.any(axis=1))
+            cols = np.flatnonzero(ink.any(axis=0))
+            if rows.size == 0 or cols.size == 0:
+                continue
+            band = ink[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+            # glyph alphabet guarantees ink in first/last row+col of
+            # every non-space glyph, so the tight band is exactly GLYPH_H
+            # tall and starts/ends on glyph boundaries; degenerate crops
+            # fall back to a padded/cropped canvas (deterministic either
+            # way).
+            counts[i] = (band.shape[1] - 1) // GLYPH_ADVANCE + 1
+            placed.append((band[:GLYPH_H + 1], n_slots))
+            # one blank spacer slot after each band keeps the 1-px halo
+            # around it blank, as on a canvas of its own
+            n_slots += counts[i] + 1
+        logits = np.zeros((int(counts.sum()), N_CLASSES), dtype=np.float32)
         logits[:, 0] = 0.3                 # blank baseline at char timesteps
+        if not placed:
+            return logits, counts
+        # all bands side by side on one canvas, slot s at columns
+        # 1 + s*GLYPH_ADVANCE, with a 1-px halo row above and below
+        canvas = np.zeros((GLYPH_H + 2, n_slots * GLYPH_ADVANCE + 1), dtype=np.float32)
+        for band, slot in placed:
+            x0 = 1 + slot * GLYPH_ADVANCE
+            canvas[1:1 + band.shape[0], x0:x0 + band.shape[1]] = band
+        # shifted[1 + dy, 1 + dx, s] is slot s's window moved by (dy, dx)
+        row, isz = canvas.strides
+        shifted = np.lib.stride_tricks.as_strided(
+            canvas,
+            shape=(3, 3, n_slots, GLYPH_H, GLYPH_W),
+            strides=(row, isz, GLYPH_ADVANCE * isz, row, isz),
+            writeable=False,
+        )
+        spacers = np.cumsum(counts[counts > 0] + 1) - 1
+        slots = np.delete(np.arange(n_slots), spacers)
+        match = _template_match(shifted[1, 1, slots].reshape(-1, _WIN_PX))  # [n, C-1]
+        weak = np.flatnonzero(match.max(axis=1) < RecModel.OFFSET_SEARCH_THRESH)
+        if weak.size:
+            moved = shifted[_RETRY_DY[:, None], _RETRY_DX[:, None], slots[weak]]
+            cands = np.concatenate([
+                match[weak][None],
+                _template_match(moved.reshape(-1, _WIN_PX)).reshape(8, weak.size, -1),
+            ])                             # [9, n_weak, C-1]
+            pick = cands.max(axis=2).argmax(axis=0)  # first maximum wins
+            match[weak] = cands[pick, np.arange(weak.size)]
         logits[:, 1:] = match              # template j -> dict index j+1
-        return logits
+        return logits, counts
 
 
 class DetModelContract(DetModel):
