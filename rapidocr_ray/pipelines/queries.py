@@ -35,6 +35,7 @@ from rapidocr_ray.functions.textstats import (
     quality_stats_batch,
     rolling_fingerprint,
 )
+from rapidocr_ray.stages.tiered import count_table, doc_bucket, keyed_sum
 from rapidocr_ray.util import (
     ensure_worker_importable,
     lru_cache_get,
@@ -713,6 +714,7 @@ def q_user_running_totals_salted(sf_dir: str):
     Scale shape: every shuffled group is bounded by a user-HOUR (not a
     user); the offsets table is users x active-hours rows and never
     holds raw events; no driver-side collection anywhere."""
+    EVENT_ROW, OFFSET_ROW = 0, 1
     ds = _read(sf_dir, "events", columns=["event_id", "ts", "user_id", "value"])
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -783,20 +785,22 @@ def q_user_running_totals_salted(sf_dir: str):
     def tag_local(b: pa.Table) -> pa.Table:
         return pa.table(
             {
+                "kind": pa.array(np.full(b.num_rows, EVENT_ROW), type=pa.int8()),
                 "user_id": b.column("user_id"),
                 "hb": b.column("hb"),
                 "event_id": b.column("event_id"),
                 "local_n": b.column("local_n"),
                 "local_cents": b.column("local_cents"),
-                "off_n": pa.array(np.full(b.num_rows, -1), type=pa.int64()),
-                "off_cents": pa.array(np.full(b.num_rows, -1), type=pa.int64()),
+                "off_n": pa.array(np.zeros(b.num_rows, dtype=np.int64)),
+                "off_cents": pa.array(np.zeros(b.num_rows, dtype=np.int64)),
             }
         )
 
     def tag_off(b: pa.Table) -> pa.Table:
-        z = pa.array(np.full(b.num_rows, -1), type=pa.int64())
+        z = pa.array(np.zeros(b.num_rows, dtype=np.int64))
         return pa.table(
             {
+                "kind": pa.array(np.full(b.num_rows, OFFSET_ROW), type=pa.int8()),
                 "user_id": b.column("user_id"),
                 "hb": b.column("hb"),
                 "event_id": z,
@@ -812,8 +816,8 @@ def q_user_running_totals_salted(sf_dir: str):
     )
 
     def add_offsets(g: pd.DataFrame) -> pd.DataFrame:
-        orow = g[g.event_id < 0]
-        ev = g[g.event_id >= 0]
+        orow = g[g.kind == OFFSET_ROW]
+        ev = g[g.kind == EVENT_ROW]
         on = int(orow.off_n.iloc[0])
         oc = int(orow.off_cents.iloc[0])
         return pd.DataFrame(
@@ -2957,6 +2961,7 @@ def q_doc_salient_term(sf_dir: str):
     one bucket, so the df a candidate sees is exact and global);
     (4) a second small shuffle keyed by doc bucket picks the winner —
     it carries only the tie rows, never the token explosion."""
+    CAND_ROW, DF_ROW = 0, 1
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def explode(batch: pa.Table) -> pd.DataFrame:
@@ -2978,6 +2983,7 @@ def q_doc_salient_term(sf_dir: str):
         cand_tab = pa.table(
             {
                 "bucket": cand_buckets,
+                "kind": np.full(len(cand), CAND_ROW, dtype=np.int8),
                 "token": pa.array(cand.tok, type=pa.string()),
                 "doc_id": cand.d.to_numpy().astype(np.int64),
                 "tf": cand.tf.to_numpy().astype(np.int64),
@@ -2989,8 +2995,9 @@ def q_doc_salient_term(sf_dir: str):
         df_tab = pa.table(
             {
                 "bucket": df_buckets,
+                "kind": np.full(len(part), DF_ROW, dtype=np.int8),
                 "token": pa.array(part.tok, type=pa.string()),
-                "doc_id": np.full(len(part), -1, dtype=np.int64),
+                "doc_id": np.zeros(len(part), dtype=np.int64),
                 "tf": np.zeros(len(part), dtype=np.int64),
                 "df_part": part["df"].to_numpy().astype(np.int64),
             }
@@ -3000,13 +3007,10 @@ def q_doc_salient_term(sf_dir: str):
     both = ds.map_batches(cand_and_df, batch_format="pyarrow")
 
     def attach_df(g: pd.DataFrame) -> pd.DataFrame:
-        df_tab = g[g.doc_id < 0].groupby("token", sort=False)["df_part"].sum()
-        cand = g[g.doc_id >= 0][["doc_id", "token", "tf"]]
+        df_tab = g[g.kind == DF_ROW].groupby("token", sort=False)["df_part"].sum()
+        cand = g[g.kind == CAND_ROW][["doc_id", "token", "tf"]]
         out = cand.merge(df_tab.rename("df_n"), left_on="token", right_index=True)
-        out["doc_bucket"] = (
-            out.doc_id.to_numpy().astype(np.uint64) * np.uint64(2654435761)
-            % np.uint64(2**32)
-        ).astype(np.int64) % 64
+        out["doc_bucket"] = np.asarray(doc_bucket(out.doc_id.to_numpy(), 64))
         return out
 
     attached = both.groupby("bucket").map_groups(attach_df, batch_format="pandas")
@@ -3717,158 +3721,73 @@ SELECT canon AS canon_url, doc_id, CAST(n_dups AS BIGINT) AS n_dups FROM r WHERE
 """
 
 
-_UNIGRAM_CACHE: dict = {}
-_BLOOM_CACHE: dict = {}
+
+def _log10_micro(q) -> np.ndarray:
+    """floor(log10(q) * 1e6) as int64 — the fuzz-pinned quantized log
+    of the scorers (Python/numpy/DuckDB libm log10 agree bit-for-bit on
+    IEEE-exact int/int quotients)."""
+    return np.floor(np.log10(q) * 1e6).astype(np.int64)
 
 
-def q_unigram_logprob(sf_dir: str, broadcast_limit: int = 2_000_000, n_buckets: int = 64):
+def _split(batch: pa.Table) -> tuple[pa.Array, np.ndarray]:
+    """Whitespace tokens of a docs batch: (flat tokens, tokens per doc).
+    Empty text is one '' token, as string_split gives in SQL."""
+    toks = pc.split_pattern(batch.column("text"), " ")
+    return pc.list_flatten(toks), pc.list_value_length(toks).to_numpy().astype(np.int64)
+
+
+def _token_keys(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """keys_of for the token-keyed scorers: every token instance."""
+    flat, lens = _split(batch)
+    return flat.to_numpy(zero_copy_only=False), lens
+
+
+def _uni_count_partial(batch: pa.Table) -> pa.Table:
+    """Per-batch corpus unigram counts (key, c) — shared by the unigram
+    and bigram scorers."""
+    flat, _ = _split(batch)
+    agg = pa.table({"key": flat}).group_by("key").aggregate([("key", "count")])
+    return pa.table({"key": agg["key"], "c": agg["key_count"]})
+
+
+def _doc_sum_columns(n_col: str, sum_col: str):
+    """finish of a one-valued keyed sum: (doc_id, n_col, sum_col)."""
+
+    def finish(docs: pa.Table, n, sums, tot) -> pa.Table:
+        return pa.table(
+            {
+                "doc_id": docs["doc_id"],
+                n_col: pa.array(n, type=pa.int64()),
+                sum_col: pa.array(sums[:, 0], type=pa.int64()),
+            }
+        )
+
+    return finish
+
+
+def _unigram_lp(rows: pa.Table, tot: pd.Series) -> np.ndarray:
+    c = np.asarray(rows["c"], dtype=np.float64)
+    return _log10_micro(c / float(tot["n"]))[:, None]
+
+
+def q_unigram_logprob(sf_dir: str):
     """Unigram-LM quality score (the CCNet/KenLM-style perplexity
-    filter, self-trained): pass 1 builds exact corpus token counts
-    (per-batch `pa.Table.group_by` partials, ONE crc32(token)-bucketed
-    merge — the top_terms shape); pass 2 broadcasts the per-token
-    logprob table once (`ray.put` + worker LRU, the decontam shape) and
-    scores every doc in one streaming map_batches with a vectorized
-    Series.map + offset-cumsum segment sum.  Determinism pin: per-token
-    score = floor(log10(c/N)*1e6) as int64 — Python/numpy/DuckDB libm
-    log10 verified bit-identical on a 200k fuzz, and the per-doc SUM is
-    integer so accumulation order cannot diverge.  Past
-    ``broadcast_limit`` vocab rows the score attaches through a
-    token-bucketed shuffle instead (equality-pinned by test)."""
-    import ray
-
+    filter, self-trained): per-doc sum of lp(t) = floor(log10(c/N)*1e6)
+    over its tokens, c the corpus count of t and N the corpus token
+    count.  The count pass is per-batch `pa.Table.group_by` partials and
+    ONE crc32(token)-bucketed merge; scoring is `tiered.keyed_sum` (the
+    per-token table broadcast once, or attached through token buckets
+    past `tiered.BROADCAST_LIMIT` rows).  The per-doc SUM is integer so
+    accumulation order cannot diverge."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        flat = pc.list_flatten(pc.split_pattern(batch.column("text"), pattern=" "))
-        agg = pa.table({"t": flat}).group_by(["t"]).aggregate([("t", "count")])
-        bucket = pa.array(crc_bucket(agg.column("t"), n_buckets))
-        return agg.append_column("bucket", bucket)
-
-    def merge_counts(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby("t", sort=False)["t_count"].sum()
-        return pd.DataFrame({"t": g.index, "c": g.to_numpy().astype(np.int64)})
-
-    vocab_ds = (
-        ds.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge_counts, batch_format="pandas")
+    return keyed_sum(
+        ds,
+        _token_keys,
+        count_table(ds, _uni_count_partial),
+        _unigram_lp,
+        _doc_sum_columns("n_tokens", "logprob_micro_sum"),
+        totals=lambda rows: pd.Series({"n": pc.sum(rows["c"]).as_py()}),
     )
-    # branch on the vocab SIZE before collecting anything, so the
-    # driver heap never sees a vocabulary past broadcast_limit
-    vocab_rows = vocab_ds.count()
-
-    if vocab_rows <= broadcast_limit:
-        # vocab is bounded by VOCABULARY size, not corpus size — the
-        # driver-side collect is the documented broadcast build
-        vocab = vocab_ds.to_pandas()
-        if len(vocab) == 0:  # zero-block input loses its schema entirely
-            vocab = pd.DataFrame(
-                {"t": pd.Series([], dtype=object), "c": pd.Series([], dtype=np.int64)}
-            )
-        n = float(vocab.c.sum()) if len(vocab) else 1.0
-        lp = (
-            np.floor(np.log10(vocab.c.to_numpy().astype(np.float64) / n) * 1e6).astype(
-                np.int64
-            )
-            if len(vocab)
-            else np.array([], dtype=np.int64)
-        )
-    else:
-        n = float(vocab_ds.sum("c"))  # distributed scalar, no collect
-
-    def doc_sums(batch: pa.Table, lookup: pd.Series) -> pa.Table:
-        toks = pc.split_pattern(batch.column("text"), pattern=" ")
-        lens = pc.list_value_length(toks).to_numpy().astype(np.int64)
-        flat = pc.list_flatten(toks).to_pandas()
-        lpv = flat.map(lookup).to_numpy(dtype=np.int64)
-        cs = np.concatenate([[0], np.cumsum(lpv)])
-        ends = np.cumsum(lens)
-        starts = ends - lens
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "n_tokens": pa.array(lens, type=pa.int64()),
-                "logprob_micro_sum": pa.array(cs[ends] - cs[starts], type=pa.int64()),
-            }
-        )
-
-    if vocab_rows <= broadcast_limit:
-        lookup = pd.Series(lp, index=vocab.t)
-        ref = ray.put(lookup)
-
-        def score(batch: pa.Table) -> pa.Table:
-            lk = lru_cache_get(_UNIGRAM_CACHE, ref.hex(), lambda: ray.get(ref))
-            return doc_sums(batch, lk)
-
-        return ds.map_batches(score, batch_format="pyarrow")
-
-    # large-vocab fallback: attach logprobs through a token-bucketed
-    # shuffle (doc token instances + vocab rows meet in the same
-    # crc32 bucket), then ONE doc-bucketed merge of the partial sums.
-    lp_ds = vocab_ds.map_batches(
-        lambda b: pa.table(
-            {
-                "t": b.column("t"),
-                "lp": pa.array(
-                    np.floor(
-                        np.log10(np.asarray(b.column("c"), dtype=np.float64) / n) * 1e6
-                    ).astype(np.int64),
-                    type=pa.int64(),
-                ),
-                "doc_id": pa.array(np.full(len(b), -1), type=pa.int64()),
-                "bucket": pa.array(crc_bucket(b.column("t"), n_buckets)),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-    def explode_tokens(batch: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(batch.column("text"), pattern=" ")
-        lens = pc.list_value_length(toks).to_numpy().astype(np.int64)
-        flat = pc.list_flatten(toks)
-        ids = np.repeat(np.asarray(batch.column("doc_id")), lens)
-        return pa.table(
-            {
-                "t": flat,
-                "lp": pa.array(np.zeros(len(ids)), type=pa.int64()),
-                "doc_id": pa.array(ids, type=pa.int64()),
-                "bucket": pa.array(crc_bucket(flat, n_buckets)),
-            }
-        )
-
-    both = lp_ds.union(ds.map_batches(explode_tokens, batch_format="pyarrow"))
-
-    def attach(group: pd.DataFrame) -> pd.DataFrame:
-        vv = group[group.doc_id < 0]
-        inst = group[group.doc_id >= 0]
-        lk = pd.Series(vv.lp.to_numpy(), index=vv.t)
-        lpv = inst.t.map(lk).to_numpy(dtype=np.int64)
-        g = pd.DataFrame({"doc_id": inst.doc_id.to_numpy(), "lp": lpv}).groupby(
-            "doc_id", sort=False
-        )
-        out = pd.DataFrame(
-            {
-                "doc_id": g["lp"].sum().index.to_numpy().astype(np.int64),
-                "n_tokens": g["lp"].count().to_numpy().astype(np.int64),
-                "logprob_micro_sum": g["lp"].sum().to_numpy().astype(np.int64),
-            }
-        )
-        out["dbucket"] = out.doc_id.to_numpy() * 2654435761 % 2**32 % n_buckets
-        return out
-
-    partial_docs = both.groupby("bucket").map_groups(attach, batch_format="pandas")
-
-    def final(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby("doc_id", sort=False)
-        return pd.DataFrame(
-            {
-                "doc_id": g["n_tokens"].sum().index.to_numpy().astype(np.int64),
-                "n_tokens": g["n_tokens"].sum().to_numpy().astype(np.int64),
-                "logprob_micro_sum": g["logprob_micro_sum"].sum().to_numpy().astype(np.int64),
-            }
-        )
-
-    return partial_docs.groupby("dbucket").map_groups(final, batch_format="pandas")
 
 
 SQL_UNIGRAM_LOGPROB = """
@@ -3881,6 +3800,9 @@ SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n_tokens,
        CAST(SUM(lp) AS BIGINT) AS logprob_micro_sum
 FROM j GROUP BY doc_id
 """
+
+
+_BLOOM_CACHE: dict = {}
 
 
 def _lead_key(text: str) -> str:
@@ -3904,6 +3826,7 @@ def q_incremental_dedup(sf_dir: str, n_bits_log2: int = 20, n_buckets: int = 64)
     import hashlib
     import ray
 
+    NEW_ROW, PRIOR_ROW = 0, 1
     m = 1 << n_bits_log2
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -3970,6 +3893,7 @@ def q_incremental_dedup(sf_dir: str, n_bits_log2: int = 20, n_buckets: int = 64)
         keys = b.column("key").to_pylist()
         return pa.table(
             {
+                "kind": pa.array(np.full(len(keys), NEW_ROW), type=pa.int8()),
                 "doc_id": b.column("doc_id"),
                 "key": b.column("key"),
                 "bucket": pa.array(crc_bucket(keys, n_buckets)),
@@ -3982,7 +3906,8 @@ def q_incremental_dedup(sf_dir: str, n_bits_log2: int = 20, n_buckets: int = 64)
         keys = [d.hex() for d, k in zip(digs, sel) if k]
         return pa.table(
             {
-                "doc_id": pa.array(np.full(sum(sel), -1), type=pa.int64()),
+                "kind": pa.array(np.full(len(keys), PRIOR_ROW), type=pa.int8()),
+                "doc_id": pa.array(ids[sel], type=pa.int64()),
                 "key": pa.array(keys, type=pa.string()),
                 "bucket": pa.array(crc_bucket(keys, n_buckets)),
             }
@@ -4000,8 +3925,8 @@ def q_incremental_dedup(sf_dir: str, n_bits_log2: int = 20, n_buckets: int = 64)
         # emit ARROW so the union with the (arrow-block) resolved
         # branch is homogeneous — iter_batches consumers assert on
         # mixed block types even though to_pandas() tolerates them
-        pset = set(group[group.doc_id < 0].key)
-        c = group[group.doc_id >= 0]
+        pset = set(group[group.kind == PRIOR_ROW].key)
+        c = group[group.kind == NEW_ROW]
         return pa.table(
             {
                 "doc_id": pa.array(c.doc_id.to_numpy().astype(np.int64), type=pa.int64()),
@@ -5314,98 +5239,67 @@ FROM documents
 """
 
 
-_DSIR_CACHE: dict = {}
+def _dsir_count_partial(batch: pa.Table) -> pa.Table:
+    """Per-batch (key, c_all, c_tgt): corpus and target-domain counts."""
+    flat, lens = _split(batch)
+    is_tgt = np.repeat(np.asarray(batch["doc_id"], dtype=np.int64) % 3 == 0, lens)
+    agg = (
+        pa.table(
+            {
+                "key": flat,
+                "c_all": np.ones(len(flat), dtype=np.int64),
+                "c_tgt": is_tgt.astype(np.int64),
+            }
+        )
+        .group_by("key")
+        .aggregate([("c_all", "sum"), ("c_tgt", "sum")])
+    )
+    return pa.table(
+        {"key": agg["key"], "c_all": agg["c_all_sum"], "c_tgt": agg["c_tgt_sum"]}
+    )
 
 
-def q_dsir_weights(sf_dir: str, n_buckets: int = 64):
+def _dsir_totals(rows: pa.Table) -> pd.Series:
+    return pd.Series(
+        {
+            "v": rows.num_rows,
+            "n_all": pc.sum(rows["c_all"]).as_py(),
+            "n_tgt": pc.sum(rows["c_tgt"]).as_py(),
+        }
+    )
+
+
+def _dsir_lp(rows: pa.Table, tot: pd.Series) -> np.ndarray:
+    v = float(tot["v"])
+    c_all = np.asarray(rows["c_all"], dtype=np.float64)
+    c_tgt = np.asarray(rows["c_tgt"], dtype=np.float64)
+    return (
+        _log10_micro((c_tgt + 1.0) / (float(tot["n_tgt"]) + v))
+        - _log10_micro((c_all + 1.0) / (float(tot["n_all"]) + v))
+    )[:, None]
+
+
+def q_dsir_weights(sf_dir: str):
     """DSIR-style importance weights (data selection for language
     models): per-doc log importance = Σ_tokens [log p_target(t) −
     log p_raw(t)] with add-one smoothing, target = the docs with
     doc_id % 3 == 0 (deterministic domain stand-in).  ONE fused count
     pass produces BOTH distributions (per-batch Table.group_by partials
     carrying c_all and c_tgt, one crc32(token)-bucketed merge — the
-    unigram_logprob shape); the per-token delta table broadcasts once
-    (ray.put + worker LRU) and scoring streams.  Float pin: each side
-    is floor(log10((c+1)/(N+V))*1e6) int64 (the libm-bit-identity
-    protocol), the doc score an integer SUM.  Vocab-bounded like
-    unigram_logprob; past broadcast_limit the same token-bucketed
-    attach-shuffle fallback applies (not duplicated here)."""
-    import ray
-
+    unigram_logprob shape).  Float pin: each side is
+    floor(log10((c+1)/(N+V))*1e6) int64 (the libm-bit-identity
+    protocol), the doc score an integer SUM.  Scoring is
+    `tiered.keyed_sum`, so past `tiered.BROADCAST_LIMIT` vocab rows the
+    same token-bucketed attach-shuffle tier as unigram_logprob applies."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch.column("doc_id"), dtype=np.int64)
-        toks = pc.split_pattern(batch.column("text"), pattern=" ")
-        lens = np.asarray(pc.list_value_length(toks), dtype=np.int64)
-        flat = pc.list_flatten(toks)
-        is_tgt = np.repeat((ids % 3 == 0).astype(np.int64), lens)
-        agg = pa.table(
-            {"t": flat, "one": np.ones(len(flat), dtype=np.int64), "tgt": is_tgt}
-        ).group_by(["t"]).aggregate([("one", "sum"), ("tgt", "sum")])
-        bucket = pa.array(crc_bucket(agg.column("t"), n_buckets))
-        return pa.table(
-            {
-                "t": agg.column("t"),
-                "c_all": agg.column("one_sum"),
-                "c_tgt": agg.column("tgt_sum"),
-                "bucket": bucket,
-            }
-        )
-
-    def merge_counts(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby("t", sort=False)[["c_all", "c_tgt"]].sum()
-        return pd.DataFrame(
-            {
-                "t": g.index,
-                "c_all": g.c_all.to_numpy(np.int64),
-                "c_tgt": g.c_tgt.to_numpy(np.int64),
-            }
-        )
-
-    vocab = (
-        ds.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge_counts, batch_format="pandas")
-        .to_pandas()  # bounded by VOCABULARY size (the unigram argument)
+    return keyed_sum(
+        ds,
+        _token_keys,
+        count_table(ds, _dsir_count_partial),
+        _dsir_lp,
+        _doc_sum_columns("n_tokens", "dsir_micro_sum"),
+        totals=_dsir_totals,
     )
-    if len(vocab) == 0:
-        return pa.table(
-            {
-                "doc_id": pa.array([], type=pa.int64()),
-                "n_tokens": pa.array([], type=pa.int64()),
-                "dsir_micro_sum": pa.array([], type=pa.int64()),
-            }
-        )
-    v = float(len(vocab))
-    n_all = float(vocab.c_all.sum())
-    n_tgt = float(vocab.c_tgt.sum())
-    lp_t = np.floor(
-        np.log10((vocab.c_tgt.to_numpy(np.float64) + 1.0) / (n_tgt + v)) * 1e6
-    ).astype(np.int64)
-    lp_r = np.floor(
-        np.log10((vocab.c_all.to_numpy(np.float64) + 1.0) / (n_all + v)) * 1e6
-    ).astype(np.int64)
-    delta_ref = ray.put(pd.Series(lp_t - lp_r, index=vocab.t.to_numpy()))
-
-    def score(batch: pa.Table) -> pa.Table:
-        lk = lru_cache_get(_DSIR_CACHE, delta_ref.hex(), lambda: ray.get(delta_ref))
-        toks = pc.split_pattern(batch.column("text"), pattern=" ")
-        lens = np.asarray(pc.list_value_length(toks), dtype=np.int64)
-        flat = pc.list_flatten(toks)
-        d = lk.reindex(flat.to_pylist()).to_numpy(np.int64)
-        cs = np.concatenate([[0], np.cumsum(d)])
-        ends = np.cumsum(lens)
-        starts = ends - lens
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "n_tokens": pa.array(lens, type=pa.int64()),
-                "dsir_micro_sum": pa.array(cs[ends] - cs[starts], type=pa.int64()),
-            }
-        )
-
-    return ds.map_batches(score, batch_format="pyarrow")
 
 
 SQL_DSIR_WEIGHTS = """
@@ -5522,62 +5416,9 @@ FROM documents
 """
 
 
-def _doc_bucket(ids_col, n_buckets: int) -> pa.Array:
-    """Shared multiplicative doc_id -> bucket hash for the doc-keyed
-    merge shuffles (one definition so the NB/bigram bucketed plans and
-    their side tables cannot mis-partition by a drifted copy)."""
-    ids = np.asarray(ids_col, dtype=np.uint64)
-    return pa.array(
-        (ids * np.uint64(2654435761) % np.uint64(2**32) % np.uint64(n_buckets)).astype(
-            np.int64
-        ),
-        type=pa.int64(),
-    )
-
-
-def _uni_count_partial(batch: pa.Table, n_buckets: int) -> pa.Table:
-    """Per-batch corpus unigram count partial, crc32(token)-bucketed —
-    shared by the bigram twins (their bit-equality is test-pinned, so
-    the tokenize/count/bucket kernel must be ONE definition)."""
-    flat = pc.list_flatten(pc.split_pattern(batch.column("text"), " "))
-    agg = pa.table({"t": flat}).group_by(["t"]).aggregate([("t", "count")])
-    bucket = pa.array(crc_bucket(agg.column("t"), n_buckets))
-    return pa.table(
-        {"t": agg.column("t"), "c": agg.column("t_count"), "bucket": bucket}
-    )
-
-
-def _uni_count_merge(group: pd.DataFrame) -> pd.DataFrame:
-    g = group.groupby("t", sort=False)["c"].sum()
-    return pd.DataFrame({"t": g.index, "c": g.to_numpy().astype(np.int64)})
-
-
-def _bigram_pair_partial(batch: pa.Table, n_buckets: int) -> pa.Table:
-    """Per-batch (w1, pair) count partial, crc32(pair)-bucketed — the
-    one tokenize/pair/bucket kernel both bigram plans share."""
-    toks = pc.split_pattern(batch.column("text"), " ")
-    lens = pc.list_value_length(toks).to_numpy().astype(np.int64)
-    flat = np.asarray(pc.list_flatten(toks), dtype=object)
-    ends = np.cumsum(lens)
-    mask = np.ones(len(flat), dtype=bool)
-    mask[ends - 1] = False
-    pi = np.flatnonzero(mask)
-    df = pd.DataFrame({"w1": flat[pi], "p": flat[pi] + " " + flat[pi + 1]})
-    g = df.groupby(["w1", "p"], as_index=False).size()
-    g["bucket"] = crc_bucket(g.p, n_buckets)
-    return pa.Table.from_pandas(g.rename(columns={"size": "c2"}), preserve_index=False)
-
-
-def _bigram_pair_merge(group: pd.DataFrame) -> pd.DataFrame:
-    g = group.groupby(["w1", "p"], as_index=False)["c2"].sum()
-    g["c2"] = g.c2.astype(np.int64)
-    return g
-
-
 def _lang_token_partial(batch: pa.Table, n_buckets: int) -> pa.Table:
     """Per-batch (lang, token) count partial, crc32(token)-bucketed —
-    shared by zipf_slope and the NB plans (one tokenize/bucket kernel
-    so the oracle-pinned twins cannot drift)."""
+    zipf_slope's count pass."""
     toks = pc.split_pattern(batch.column("text"), " ")
     lens = np.asarray(pc.list_value_length(toks), dtype=np.int64)
     langs = np.repeat(np.asarray(batch.column("lang"), dtype=object), lens)
@@ -5852,10 +5693,110 @@ FROM documents
 """
 
 
-_NB_CACHE: dict = {}
+def _nb_count_partial(batch: pa.Table) -> pa.Table:
+    """Per-batch (key, lang, n, f): token counts per lang, and how many
+    docs of that lang START with the token.  Every doc has exactly one
+    first token, so the f sums per lang are the per-lang doc counts."""
+    flat, lens = _split(batch)
+    first = np.zeros(len(flat), dtype=np.int64)
+    first[(np.cumsum(lens) - lens)[lens > 0]] = 1
+    langs = np.repeat(np.asarray(batch["lang"], dtype=object), lens)
+    agg = (
+        pa.table(
+            {
+                "key": flat,
+                "lang": pa.array(langs, type=pa.string()),
+                "n": np.ones(len(flat), dtype=np.int64),
+                "f": first,
+            }
+        )
+        .group_by(["key", "lang"])
+        .aggregate([("n", "sum"), ("f", "sum")])
+    )
+    return pa.table(
+        {"key": agg["key"], "lang": agg["lang"], "n": agg["n_sum"], "f": agg["f_sum"]}
+    )
 
 
-def q_nb_classify(sf_dir: str, broadcast_limit: int = 2_000_000, n_buckets: int = 64):
+def _nb_count_merge(group: pa.Table) -> pa.Table:
+    """One row per token: aligned per-lang lists (lang, n, f)."""
+    g = group.group_by(["key", "lang"]).aggregate([("n", "sum"), ("f", "sum")])
+    # single-threaded so the three lists keep one row order
+    g = g.group_by("key", use_threads=False).aggregate(
+        [("lang", "list"), ("n_sum", "list"), ("f_sum", "list")]
+    )
+    return pa.table(
+        {
+            "key": g["key"],
+            "lang": g["lang_list"],
+            "n": g["n_sum_list"],
+            "f": g["f_sum_list"],
+        }
+    )
+
+
+def _nb_totals(rows: pa.Table) -> pd.Series:
+    """Per-lang token totals n and doc counts f, and the vocabulary
+    size v."""
+    g = (
+        pa.table(
+            {
+                "lang": pc.list_flatten(rows["lang"]),
+                "n": pc.list_flatten(rows["n"]),
+                "f": pc.list_flatten(rows["f"]),
+            }
+        )
+        .group_by("lang")
+        .aggregate([("n", "sum"), ("f", "sum")])
+    )
+    langs = g["lang"].to_pylist()
+    return pd.concat(
+        {
+            "n": pd.Series(g["n_sum"].to_numpy(), index=langs),
+            "f": pd.Series(g["f_sum"].to_numpy(), index=langs),
+            "v": pd.Series([rows.num_rows], index=[""]),
+        }
+    )
+
+
+def _nb_lp(rows: pa.Table, tot: pd.Series) -> np.ndarray:
+    """Dense (rows x langs) lp grid, langs ASC: floor(log10((c_lt + 1) /
+    (n_l + V))*1e6); a (lang, token) cell never observed has c = 0."""
+    langs = sorted(tot["f"].index)
+    denom = tot["n"].reindex(langs).to_numpy(np.float64) + float(tot["v"].iloc[0])
+    lp = np.tile(_log10_micro(1.0 / denom), (rows.num_rows, 1))
+    r = np.repeat(
+        np.arange(rows.num_rows), pc.list_value_length(rows["lang"]).to_numpy()
+    )
+    j = pc.index_in(pc.list_flatten(rows["lang"]), value_set=pa.array(langs))
+    j = j.to_numpy()
+    c = pc.list_flatten(rows["n"]).to_numpy().astype(np.float64)
+    lp[r, j] = _log10_micro((c + 1.0) / denom[j])
+    return lp
+
+
+def _nb_finish(docs: pa.Table, n, sums, tot) -> pa.Table:
+    """Add the log prior floor(log10(d_l/D)*1e6) and take the argmax;
+    the first max is the lang-ASC tie-break."""
+    langs = sorted(tot["f"].index)
+    d = tot["f"].reindex(langs).to_numpy(np.float64)
+    scores = sums + _log10_micro(d / d.sum())[None, :]
+    best = np.argmax(scores, axis=1)
+    return pa.table(
+        {
+            "doc_id": docs["doc_id"],
+            "lang": docs["lang"],
+            "nb_pred": pa.array(
+                np.asarray(langs, dtype=object)[best], type=pa.string()
+            ),
+            "nb_score_micro": pa.array(
+                scores[np.arange(len(best)), best], type=pa.int64()
+            ),
+        }
+    )
+
+
+def q_nb_classify(sf_dir: str):
     """Distributed multinomial Naive Bayes, trained AND applied in one
     pipeline (the quality-classifier shape: CCNet/GPT-3 train a linear
     model on corpus counts, then score every doc with it).  Label =
@@ -5877,381 +5818,22 @@ def q_nb_classify(sf_dir: str, broadcast_limit: int = 2_000_000, n_buckets: int 
     branch to diverge on.
 
     Scale shape: token explosion stays in scan tasks; counts merge
-    through ONE token-bucketed shuffle (lang is a bounded categorical,
-    so the per-token lang vector is a fixed-width row).  Under
-    ``broadcast_limit`` vocab rows, the dense (V x L) int64 matrix
-    broadcasts once (ray.put + worker LRU) and scoring is a single
-    streaming map_batches (gather + segment-sum + argmax — no shuffle).
-    Past the limit, the matrix never materializes on the driver: lp
-    vectors attach to exploded tokens in the same token buckets, per-doc
-    vector partials merge in ONE doc-bucketed shuffle, and the argmax
-    runs vectorized per bucket (equality-pinned by test)."""
-    import ray
-
+    through ONE token-bucketed shuffle into one row per token (lang is
+    a bounded categorical, so the per-token lang lists are narrow).
+    Scoring is `tiered.keyed_sum` with k = L: the dense (V x L) grid
+    broadcasts once, or past `tiered.BROADCAST_LIMIT` tokens its rows
+    are built per bucket and attached through token buckets; the lang
+    column rides the all-docs side table of the doc-bucketed merge."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "text"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tok_part = _lang_token_partial(batch, n_buckets)
-        # one doc-count row per (lang) rides along with token counts so a
-        # single pass feeds counts, priors and totals (token "" cannot
-        # collide: doc rows are marked by n = -count)
-        dagg = (
-            pa.table({"lang": batch.column("lang")})
-            .group_by(["lang"])
-            .aggregate([("lang", "count")])
-        )
-        doc_part = pa.table(
-            {
-                "lang": dagg.column("lang"),
-                "token": pa.array([None] * dagg.num_rows, type=pa.string()),
-                "n": pc.multiply(dagg.column("lang_count"), -1),
-                "bucket": pa.array([0] * dagg.num_rows, type=pa.int64()),
-            }
-        )
-        return pa.concat_tables([tok_part, doc_part])
-
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby(["lang", "token"], dropna=False, as_index=False)["n"].sum()
-        return g
-
-    counts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pandas")
-        .materialize()  # consumed twice (count gate + collect/fallback)
+    return keyed_sum(
+        ds,
+        _token_keys,
+        count_table(ds, _nb_count_partial, _nb_count_merge),
+        _nb_lp,
+        _nb_finish,
+        totals=_nb_totals,
+        carry=("lang",),
     )
-
-    if counts.count() > broadcast_limit:
-        # grid too large for the driver: the documented bucketed plan,
-        # reusing the counts already materialized above
-        return q_nb_classify_bucketed(sf_dir, n_buckets=n_buckets, _counts_ds=counts)
-    # model-build inputs: per-lang doc counts (negative marker rows),
-    # per-lang token totals and vocabulary size are all LANG- or
-    # VOCAB-bounded aggregates, never corpus-sized
-    return _nb_finish_broadcast(ds, counts.to_pandas(), ray)
-
-
-def _nb_model(cdf: pd.DataFrame):
-    """(lang-sorted priors, token->row index, dense (V x L) lp matrix)
-    from the merged (lang, token, n) frame (doc counts as n<0 rows)."""
-    doc_rows = cdf[cdf.n < 0]
-    tok_rows = cdf[cdf.n > 0]
-    d_by_lang = doc_rows.groupby("lang")["n"].sum().mul(-1)
-    langs = sorted(d_by_lang.index)  # argmax tie-break = lang ASC
-    d_total = int(d_by_lang.sum())
-    n_by_lang = tok_rows.groupby("lang")["n"].sum().reindex(langs).fillna(0)
-    vocab = np.sort(tok_rows.token.unique())
-    v = len(vocab)
-    tok_index = pd.Series(np.arange(v, dtype=np.int64), index=vocab)
-    # dense grid: smoothing default, overwrite observed cells
-    lp = np.empty((v, len(langs)), dtype=np.int64)
-    for j, lang in enumerate(langs):
-        denom = float(int(n_by_lang[lang]) + v)
-        lp[:, j] = np.floor(np.log10(1.0 / denom) * 1e6).astype(np.int64)
-        sub = tok_rows[tok_rows.lang == lang]
-        rows = tok_index[sub.token].to_numpy()
-        lp[rows, j] = np.floor(
-            np.log10((sub.n.to_numpy(np.float64) + 1.0) / denom) * 1e6
-        ).astype(np.int64)
-    prior = np.array(
-        [
-            int(np.floor(np.log10(float(d_by_lang[lang]) / d_total) * 1e6))
-            for lang in langs
-        ],
-        dtype=np.int64,
-    )
-    return langs, prior, tok_index, lp
-
-
-def _nb_finish_broadcast(ds, cdf: pd.DataFrame, ray):
-    langs, prior, tok_index, lp = _nb_model(cdf)
-    ref = ray.put((langs, prior, tok_index, lp))
-
-    def score(batch: pa.Table) -> pa.Table:
-        mlangs, mprior, mindex, mlp = lru_cache_get(
-            _NB_CACHE, ref.hex(), lambda: ray.get(ref)
-        )
-        toks = pc.split_pattern(batch.column("text"), " ")
-        lens = pc.list_value_length(toks).to_numpy().astype(np.int64)
-        flat = pc.list_flatten(toks).to_pandas()
-        rows = flat.map(mindex).to_numpy(dtype=np.int64)
-        per_tok = mlp[rows]  # (n_instances, L) int64 gather
-        cs = np.concatenate(
-            [np.zeros((1, per_tok.shape[1]), dtype=np.int64), np.cumsum(per_tok, axis=0)]
-        )
-        ends = np.cumsum(lens)
-        starts = ends - lens
-        scores = cs[ends] - cs[starts] + mprior[None, :]
-        best = np.argmax(scores, axis=1)  # first max = lang-ASC tie-break
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "lang": batch.column("lang"),
-                "nb_pred": pa.array(
-                    np.asarray(mlangs, dtype=object)[best], type=pa.string()
-                ),
-                "nb_score_micro": pa.array(
-                    scores[np.arange(len(best)), best], type=pa.int64()
-                ),
-            }
-        )
-
-    return ds.map_batches(score, batch_format="pyarrow")
-
-
-def q_nb_classify_bucketed(sf_dir: str, n_buckets: int = 64, _counts_ds=None):
-    """Large-vocab NB fallback: the (V x L) grid never reaches the
-    driver.  lp vectors are computed per token INSIDE the count-merge
-    buckets (each needs only lang totals + V — tiny scalars broadcast by
-    value), attach to exploded doc tokens in the same buckets, and
-    per-doc partial score vectors merge through one doc-bucketed
-    shuffle.  Must equal q_nb_classify bit-for-bit (pinned by test).
-
-    ``_counts_ds`` lets q_nb_classify hand over its already-materialized
-    merged (lang, token, n) table (doc-prior rows marked n < 0) so the
-    over-limit handoff does not recount the corpus from raw text."""
-    import ray
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "text"])
-
-    if _counts_ds is None:
-        # standalone entry: build the same merged counts q_nb_classify
-        # builds (shared _lang_token_partial kernel + doc-marker rows)
-        def partial(batch: pa.Table) -> pa.Table:
-            tok_part = _lang_token_partial(batch, n_buckets)
-            dagg = (
-                pa.table({"lang": batch.column("lang")})
-                .group_by(["lang"])
-                .aggregate([("lang", "count")])
-            )
-            doc_part = pa.table(
-                {
-                    "lang": dagg.column("lang"),
-                    "token": pa.array([None] * dagg.num_rows, type=pa.string()),
-                    "n": pc.multiply(dagg.column("lang_count"), -1),
-                    "bucket": pa.array([0] * dagg.num_rows, type=pa.int64()),
-                }
-            )
-            return pa.concat_tables([tok_part, doc_part])
-
-        _counts_ds = (
-            ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(
-                lambda g: g.groupby(
-                    ["lang", "token"], dropna=False, as_index=False
-                )["n"].sum(),
-                batch_format="pandas",
-            )
-            .materialize()  # consumed three times below
-        )
-
-    # lang-bounded scalars (doc counts, token totals) from the counts
-    # table — one cheap pass over vocab-sized rows, not the corpus
-    def lang_partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "lang": np.asarray(batch.column("lang"), dtype=object),
-                "tok_null": pc.is_null(batch.column("token")).to_numpy(
-                    zero_copy_only=False
-                ),
-                "n": np.asarray(batch.column("n"), dtype=np.int64),
-            }
-        )
-        langs_u = pd.Index(pd.unique(df.lang))
-        d = (
-            df[df.tok_null].groupby("lang").n.sum().mul(-1).reindex(langs_u).fillna(0)
-        )
-        nt = df[~df.tok_null].groupby("lang").n.sum().reindex(langs_u).fillna(0)
-        return pa.table(
-            {
-                "lang": pa.array(langs_u, type=pa.string()),
-                "d": pa.array(d.to_numpy(np.int64), type=pa.int64()),
-                "nt": pa.array(nt.to_numpy(np.int64), type=pa.int64()),
-            }
-        )
-
-    lang_df = (
-        _counts_ds.map_batches(lang_partial, batch_format="pyarrow")
-        .groupby("lang")
-        .map_groups(
-            lambda g: g.groupby("lang", as_index=False)[["d", "nt"]].sum(),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
-    langs = sorted(lang_df.lang)
-    lang_df = lang_df.set_index("lang").reindex(langs)
-    d_total = int(lang_df.d.sum())
-
-    def rebucket(batch: pa.Table) -> pa.Table:
-        keep = pc.is_valid(batch.column("token"))
-        t = batch.filter(keep)
-        return pa.table(
-            {
-                "lang": t.column("lang"),
-                "token": t.column("token"),
-                "n": t.column("n"),
-                "bucket": pa.array(crc_bucket(t.column("token"), n_buckets)),
-            }
-        )
-
-    tok_counts = _counts_ds.map_batches(rebucket, batch_format="pyarrow")
-    # v = global distinct tokens: distinct per bucket sums exactly
-    v = int(
-        tok_counts.groupby("bucket")
-        .map_groups(
-            lambda g: pd.DataFrame({"nv": [g.token.nunique()]}),
-            batch_format="pandas",
-        )
-        .sum("nv")
-    )
-    n_by_lang = {L: int(lang_df.nt[L]) for L in langs}
-    prior = np.array(
-        [
-            int(np.floor(np.log10(float(lang_df.d[L]) / d_total) * 1e6))
-            for L in langs
-        ],
-        dtype=np.int64,
-    )
-    unseen = np.array(
-        [
-            int(np.floor(np.log10(1.0 / float(n_by_lang[L] + v)) * 1e6))
-            for L in langs
-        ],
-        dtype=np.int64,
-    )
-    scal_ref = ray.put((langs, prior, unseen, n_by_lang, v))
-
-    lp_cols = [f"lp{j}" for j in range(len(langs))]
-
-    def grid_rows(group: pd.DataFrame) -> pd.DataFrame:
-        """merged counts -> per-token dense lp vector (within bucket)."""
-        mlangs, _, munseen, mn, mv = lru_cache_get(
-            _NB_CACHE, "s" + scal_ref.hex(), lambda: ray.get(scal_ref)
-        )
-        g = group.groupby(["lang", "token"], as_index=False)["n"].sum()
-        toks = np.sort(g.token.unique())
-        idx = pd.Series(np.arange(len(toks)), index=toks)
-        lp = np.tile(munseen, (len(toks), 1))
-        for j, lang in enumerate(mlangs):
-            sub = g[g.lang == lang]
-            if len(sub):
-                lp[idx[sub.token].to_numpy(), j] = np.floor(
-                    np.log10(
-                        (sub.n.to_numpy(np.float64) + 1.0) / float(mn[lang] + mv)
-                    )
-                    * 1e6
-                ).astype(np.int64)
-        out = pd.DataFrame({"token": toks, "doc_id": np.int64(-1)})
-        for j, c in enumerate(lp_cols):
-            out[c] = lp[:, j]
-        out["bucket"] = group.bucket.iloc[0]
-        return out
-
-    grid = (
-        tok_counts.groupby("bucket")
-        .map_groups(grid_rows, batch_format="pandas")
-        # identity arrow pass: union requires both sides on arrow blocks
-        .map_batches(lambda b: b, batch_format="pyarrow")
-    )
-
-    def explode(batch: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(batch.column("text"), " ")
-        lens = np.asarray(pc.list_value_length(toks), dtype=np.int64)
-        flat = pc.list_flatten(toks)
-        ids = np.repeat(np.asarray(batch.column("doc_id")), lens)
-        out = {
-            "token": flat,
-            "doc_id": pa.array(ids, type=pa.int64()),
-        }
-        zero = np.zeros(len(ids), dtype=np.int64)
-        for c in lp_cols:
-            out[c] = pa.array(zero, type=pa.int64())
-        out["bucket"] = pa.array(crc_bucket(flat, n_buckets))
-        return pa.table(out)
-
-    both = grid.union(ds.map_batches(explode, batch_format="pyarrow"))
-
-    def attach(group: pd.DataFrame) -> pd.DataFrame:
-        vv = group[group.doc_id < 0]
-        inst = group[group.doc_id >= 0]
-        if not len(inst):
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype=np.int64),
-                    **{c: pd.Series([], dtype=np.int64) for c in lp_cols},
-                    "n_toks": pd.Series([], dtype=np.int64),
-                    "dbucket": pd.Series([], dtype=np.int64),
-                }
-            )
-        lk = vv.set_index("token")[lp_cols]
-        m = lk.loc[inst.token.to_numpy()]
-        m.index = inst.doc_id.to_numpy()
-        g = m.groupby(level=0)
-        out = g.sum()
-        out["n_toks"] = g.size().to_numpy(np.int64)
-        out = out.reset_index(names="doc_id")
-        out["dbucket"] = np.asarray(_doc_bucket(out.doc_id.to_numpy(np.int64), n_buckets))
-        return out
-
-    partials = both.groupby("bucket").map_groups(attach, batch_format="pandas")
-
-    # lang of each doc rides in a narrow side table joined in the final
-    # doc-bucketed merge (same buckets)
-    def doc_lang(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "lang": batch.column("lang"),
-                "dbucket": _doc_bucket(batch.column("doc_id"), n_buckets),
-            }
-        )
-
-    side = _read(sf_dir, "documents", columns=["doc_id", "lang"]).map_batches(
-        doc_lang, batch_format="pyarrow"
-    )
-
-    def finish(group: pd.DataFrame) -> pd.DataFrame:
-        mlangs, mprior, _, _, _ = lru_cache_get(
-            _NB_CACHE, "s" + scal_ref.hex(), lambda: ray.get(scal_ref)
-        )
-        lang_rows = group[group.lang.notna()][["doc_id", "lang"]]
-        score_rows = group[group.lang.isna()]
-        g = score_rows.groupby("doc_id")[lp_cols].sum()
-        scores = g.to_numpy(np.int64) + mprior[None, :]
-        best = np.argmax(scores, axis=1)
-        out = pd.DataFrame(
-            {
-                "doc_id": g.index.to_numpy(np.int64),
-                "nb_pred": np.asarray(mlangs, dtype=object)[best],
-                "nb_score_micro": scores[np.arange(len(best)), best],
-            }
-        )
-        return out.merge(lang_rows, on="doc_id")[
-            ["doc_id", "lang", "nb_pred", "nb_score_micro"]
-        ]
-
-    def _tag(batch: pa.Table, with_lang: bool) -> pa.Table:
-        n = batch.num_rows
-        cols = {"doc_id": batch.column("doc_id"), "dbucket": batch.column("dbucket")}
-        cols["lang"] = (
-            batch.column("lang")
-            if with_lang
-            else pa.array([None] * n, type=pa.string())
-        )
-        for c in lp_cols:
-            cols[c] = (
-                batch.column(c)
-                if not with_lang
-                else pa.array(np.zeros(n, dtype=np.int64), type=pa.int64())
-            )
-        return pa.table(cols)
-
-    merged = partials.map_batches(
-        lambda b: _tag(b, False), batch_format="pyarrow"
-    ).union(side.map_batches(lambda b: _tag(b, True), batch_format="pyarrow"))
-    return merged.groupby("dbucket").map_groups(finish, batch_format="pandas")
 
 
 def q_audio_sample_dup_groups(sf_dir: str, n_buckets: int = 64):
@@ -6683,10 +6265,88 @@ FROM p FULL OUTER JOIN n ON p.fp_md5 = n.fp_md5
 """
 
 
-_BIGRAM_CACHE: dict = {}
+def _pairs(batch: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjacent token pairs of a docs batch: (w1, 'w1 w2' keys, pairs
+    per doc = max(n_tokens - 1, 0))."""
+    flat, lens = _split(batch)
+    flat = flat.to_numpy(zero_copy_only=False)
+    mask = np.ones(len(flat), dtype=bool)
+    mask[np.cumsum(lens) - 1] = False
+    pi = np.flatnonzero(mask)
+    w1 = flat[pi]
+    keys = w1 + " " + flat[pi + 1] if len(pi) else np.array([], dtype=object)
+    return w1, keys, np.maximum(lens - 1, 0)
 
 
-def q_bigram_logprob(sf_dir: str, broadcast_limit: int = 2_000_000, n_buckets: int = 64):
+def _bigram_counts(ds):
+    """Materialized (key = pair, c2, c1 = count of its first token)
+    table and the vocabulary size V.  Pair partials and the unigram
+    rows meet in crc32(w1) buckets, so c1 attaches where c2 merges."""
+    uni = count_table(ds, _uni_count_partial)
+    PAIR_ROW, TOKEN_ROW = 0, 1
+
+    def pair_rows(batch: pa.Table) -> pa.Table:
+        w1, keys, _ = _pairs(batch)
+        agg = (
+            pa.table(
+                {
+                    "w1": pa.array(w1, type=pa.string()),
+                    "key": pa.array(keys, type=pa.string()),
+                    "c": np.ones(len(keys), dtype=np.int64),
+                }
+            )
+            .group_by(["w1", "key"])
+            .aggregate([("c", "sum")])
+        )
+        return pa.table(
+            {
+                "bucket": pa.array(crc_bucket(agg["w1"], 64)),
+                "kind": pa.array(np.full(agg.num_rows, PAIR_ROW), type=pa.int8()),
+                "w1": agg["w1"],
+                "key": agg["key"],
+                "c": agg["c_sum"],
+            }
+        )
+
+    def token_rows(rows: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "bucket": pa.array(crc_bucket(rows["key"], 64)),
+                "kind": pa.array(np.full(rows.num_rows, TOKEN_ROW), type=pa.int8()),
+                "w1": rows["key"],
+                "key": pa.nulls(rows.num_rows, pa.string()),
+                "c": rows["c"],
+            }
+        )
+
+    def merge(group: pa.Table) -> pa.Table:
+        tok = group.filter(pc.equal(group["kind"], TOKEN_ROW))
+        prs = (
+            group.filter(pc.equal(group["kind"], PAIR_ROW))
+            .group_by(["w1", "key"])
+            .aggregate([("c", "sum")])
+        )
+        c1 = pd.Series(tok["c"].to_numpy(), index=tok["w1"].to_numpy())
+        c1 = c1[prs["w1"].to_numpy()].to_numpy()
+        return pa.table(
+            {
+                "key": prs["key"],
+                "c2": prs["c_sum"],
+                "c1": pa.array(c1, type=pa.int64()),
+            }
+        )
+
+    pairs = (
+        ds.map_batches(pair_rows, batch_format="pyarrow")
+        .union(uni.map_batches(token_rows, batch_format="pyarrow"))
+        .groupby("bucket")
+        .map_groups(merge, batch_format="pyarrow")
+        .materialize()
+    )
+    return pairs, uni.count()
+
+
+def q_bigram_logprob(sf_dir: str):
     """Bigram-LM quality score (the unigram perplexity filter's
     conditioned sibling): per-doc sum of lp(w_i | w_{i-1}) =
     floor(log10((c2(w_{i-1} w_i) + 1) / (c1(w_{i-1}) + V)) * 1e6) over
@@ -6694,270 +6354,29 @@ def q_bigram_logprob(sf_dir: str, broadcast_limit: int = 2_000_000, n_buckets: i
     Docs with < 2 tokens emit (0, 0) on both engines.
 
     Training-set scoring means every scored pair was observed, so the
-    broadcast table needs only OBSERVED pairs (corpus-bounded, never
-    vocab^2).  Pins are the unigram op's: int/int quotient then the
-    fuzz-pinned log10, per-doc sums integer.
+    table needs only OBSERVED pairs (corpus-bounded, never vocab^2).
+    Pins are the unigram op's: int/int quotient then the fuzz-pinned
+    log10, per-doc sums integer.
 
-    Scale shape: two count passes merge through token-/pair-bucketed
-    shuffles; under ``broadcast_limit`` distinct pairs the lp Series
-    broadcasts once (ray.put + worker LRU) and scoring streams
-    shuffle-free.  Past it, lp rows are computed in w1-keyed buckets
-    (c2 joins c1 where both live), re-keyed by pair to attach to
-    exploded doc pairs, and per-doc partials merge doc-bucketed —
-    q_bigram_logprob_bucketed, equality-pinned by test."""
-    import ray
-
+    Scale shape: a token-bucketed unigram count, then one
+    crc32(w1)-bucketed pass that merges pair counts and attaches c1;
+    scoring is `tiered.keyed_sum` over pair keys (broadcast, or past
+    `tiered.BROADCAST_LIMIT` pairs the pair-bucketed attach whose
+    all-docs side table gives the zero-pair docs)."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    pairs, v = _bigram_counts(ds)
 
-    uni_ds = (
-        ds.map_batches(
-            lambda b: _uni_count_partial(b, n_buckets), batch_format="pyarrow"
-        )
-        .groupby("bucket")
-        .map_groups(_uni_count_merge, batch_format="pandas")
-    )
+    def lp(rows: pa.Table, tot) -> np.ndarray:
+        c2 = np.asarray(rows["c2"], dtype=np.float64)
+        c1 = np.asarray(rows["c1"], dtype=np.float64)
+        return _log10_micro((c2 + 1.0) / (c1 + float(v)))[:, None]
 
-    pair_ds = (
-        ds.map_batches(
-            lambda b: _bigram_pair_partial(b, n_buckets), batch_format="pyarrow"
-        )
-        .groupby("bucket")
-        .map_groups(_bigram_pair_merge, batch_format="pandas")
-        .materialize()  # consumed twice (count gate + collect/handoff)
-    )
-
-    n_pairs = pair_ds.count()
-    if n_pairs > broadcast_limit:
-        # hand the finished count tables to the bucketed plan — the
-        # corpus is re-read only for the cheap explode pass, never
-        # recounted
-        return q_bigram_logprob_bucketed(
-            sf_dir, n_buckets=n_buckets, _uni_ds=uni_ds, _pair_ds=pair_ds
-        )
-
-    uni = uni_ds.to_pandas()  # vocab-bounded
-    pairs = pair_ds.to_pandas()  # observed-pair-bounded (<= broadcast_limit)
-    v = len(uni)
-    if len(pairs):
-        c1 = pd.Series(uni.c.to_numpy(np.int64), index=uni.t)
-        denom = c1[pairs.w1].to_numpy(np.float64) + float(v)
-        lp_vals = np.floor(
-            np.log10((pairs.c2.to_numpy(np.float64) + 1.0) / denom) * 1e6
-        ).astype(np.int64)
-        lp = pd.Series(lp_vals, index=pairs.p)
-    else:
-        lp = pd.Series(np.array([], dtype=np.int64), index=pd.Index([], dtype=object))
-    ref = ray.put(lp)
-
-    def score(batch: pa.Table) -> pa.Table:
-        lk = lru_cache_get(_BIGRAM_CACHE, ref.hex(), lambda: ray.get(ref))
-        toks = pc.split_pattern(batch.column("text"), " ")
-        lens = pc.list_value_length(toks).to_numpy().astype(np.int64)
-        flat = np.asarray(pc.list_flatten(toks), dtype=object)
-        ends = np.cumsum(lens)
-        mask = np.ones(len(flat), dtype=bool)
-        mask[ends - 1] = False
-        pi = np.flatnonzero(mask)
-        lpv = (
-            pd.Series(flat[pi] + " " + flat[pi + 1]).map(lk).to_numpy(np.int64)
-            if len(pi)
-            else np.array([], dtype=np.int64)
-        )
-        # per-doc segment sums over the PAIR positions (n_i - 1 each)
-        plens = np.maximum(lens - 1, 0)
-        pends = np.cumsum(plens)
-        pstarts = pends - plens
-        cs = np.concatenate([[0], np.cumsum(lpv)])
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "n_bigrams": pa.array(plens, type=pa.int64()),
-                "bigram_lp_micro_sum": pa.array(
-                    cs[pends] - cs[pstarts], type=pa.int64()
-                ),
-            }
-        )
-
-    return ds.map_batches(score, batch_format="pyarrow")
-
-
-def q_bigram_logprob_bucketed(sf_dir: str, n_buckets: int = 64, _uni_ds=None, _pair_ds=None):
-    """Large-pair-table bigram fallback: lp rows computed in w1-keyed
-    buckets (pair counts meet their conditioning unigram counts where
-    both live), re-keyed by pair hash to attach to exploded doc pairs,
-    per-doc partials merged doc-bucketed.  Only scalars (V) broadcast.
-    Must equal q_bigram_logprob bit-for-bit (pinned by test).
-
-    ``_uni_ds``/``_pair_ds`` let q_bigram_logprob hand over its already
-    merged count tables on the over-limit path, so the corpus is
-    re-read only for the cheap explode pass — never recounted."""
-    import ray
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    if _uni_ds is None:
-        _uni_ds = (
-            ds.map_batches(
-                lambda b: _uni_count_partial(b, n_buckets), batch_format="pyarrow"
-            )
-            .groupby("bucket")
-            .map_groups(_uni_count_merge, batch_format="pandas")
-        )
-    uni_ds = _uni_ds.materialize()  # consumed twice (v + w1-row union)
-    v = int(uni_ds.count())
-
-    if _pair_ds is None:
-        _pair_ds = (
-            ds.map_batches(
-                lambda b: _bigram_pair_partial(b, n_buckets), batch_format="pyarrow"
-            )
-            .groupby("bucket")
-            .map_groups(_bigram_pair_merge, batch_format="pandas")
-        )
-
-    # re-key the merged pair counts by crc32(w1) so c2 meets c1 in one
-    # bucket (vocab-sized re-map, not a corpus recount)
-    def pair_as_w1_rows(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "w1": batch.column("w1"),
-                "p": batch.column("p"),
-                "c": batch.column("c2"),
-                "bucket": pa.array(crc_bucket(batch.column("w1"), n_buckets)),
-            }
-        )
-
-    # unigram rows ride in the SAME w1 buckets, marked by p = NULL
-    def uni_as_w1_rows(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "w1": batch.column("t"),
-                "p": pa.array([None] * batch.num_rows, type=pa.string()),
-                "c": batch.column("c"),
-                "bucket": pa.array(crc_bucket(batch.column("t"), n_buckets)),
-            }
-        )
-
-    both_counts = _pair_ds.map_batches(
-        pair_as_w1_rows, batch_format="pyarrow"
-    ).union(uni_ds.map_batches(uni_as_w1_rows, batch_format="pyarrow"))
-
-    def lp_rows(group: pd.DataFrame) -> pd.DataFrame:
-        unis = group[group.p.isna()]
-        prs = group[group.p.notna()]
-        if not len(prs):
-            return pd.DataFrame(
-                {
-                    "p": pd.Series([], dtype=object),
-                    "lp": pd.Series([], dtype=np.int64),
-                }
-            )
-        g = prs.groupby(["w1", "p"], as_index=False)["c"].sum()
-        c1 = pd.Series(unis.c.to_numpy(np.int64), index=unis.w1)
-        denom = c1[g.w1].to_numpy(np.float64) + float(v)
-        lp = np.floor(
-            np.log10((g.c.to_numpy(np.float64) + 1.0) / denom) * 1e6
-        ).astype(np.int64)
-        return pd.DataFrame({"p": g.p.to_numpy(object), "lp": lp})
-
-    lp_ds = (
-        both_counts.groupby("bucket")
-        .map_groups(lp_rows, batch_format="pandas")
-        .map_batches(
-            lambda b: pa.table(
-                {
-                    "p": b.column("p"),
-                    "lp": b.column("lp"),
-                    "doc_id": pa.array([-1] * b.num_rows, type=pa.int64()),
-                    "bucket": pa.array(crc_bucket(b.column("p"), n_buckets)),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-    )
-
-    def explode_pairs(batch: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(batch.column("text"), " ")
-        lens = pc.list_value_length(toks).to_numpy().astype(np.int64)
-        flat = np.asarray(pc.list_flatten(toks), dtype=object)
-        ends = np.cumsum(lens)
-        mask = np.ones(len(flat), dtype=bool)
-        mask[ends - 1] = False
-        pi = np.flatnonzero(mask)
-        ids = np.repeat(np.asarray(batch.column("doc_id")), np.maximum(lens - 1, 0))
-        ps = flat[pi] + " " + flat[pi + 1] if len(pi) else np.array([], dtype=object)
-        return pa.table(
-            {
-                "p": pa.array(ps, type=pa.string()),
-                "lp": pa.array(np.zeros(len(ids), dtype=np.int64), type=pa.int64()),
-                "doc_id": pa.array(ids, type=pa.int64()),
-                "bucket": pa.array(crc_bucket(ps, n_buckets)),
-            }
-        )
-
-    both = lp_ds.union(ds.map_batches(explode_pairs, batch_format="pyarrow"))
-
-    def attach(group: pd.DataFrame) -> pd.DataFrame:
-        vv = group[group.doc_id < 0]
-        inst = group[group.doc_id >= 0]
-        if not len(inst):
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype=np.int64),
-                    "n": pd.Series([], dtype=np.int64),
-                    "s": pd.Series([], dtype=np.int64),
-                    "dbucket": pd.Series([], dtype=np.int64),
-                }
-            )
-        lk = pd.Series(vv.lp.to_numpy(np.int64), index=vv.p)
-        lpv = inst.p.map(lk).to_numpy(np.int64)
-        g = pd.DataFrame({"doc_id": inst.doc_id.to_numpy(np.int64), "lp": lpv}).groupby(
-            "doc_id", sort=False
-        )
-        out = pd.DataFrame(
-            {
-                "doc_id": g["lp"].sum().index.to_numpy(np.int64),
-                "n": g["lp"].count().to_numpy(np.int64),
-                "s": g["lp"].sum().to_numpy(np.int64),
-            }
-        )
-        out["dbucket"] = np.asarray(_doc_bucket(out.doc_id.to_numpy(np.int64), n_buckets))
-        return out
-
-    partials = (
-        both.groupby("bucket")
-        .map_groups(attach, batch_format="pandas")
-        .map_batches(lambda b: b, batch_format="pyarrow")
-    )
-
-    # all-docs side table so < 2-token docs emit (0, 0)
-    def doc_side(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "n": pa.array(np.zeros(n, dtype=np.int64), type=pa.int64()),
-                "s": pa.array(np.zeros(n, dtype=np.int64), type=pa.int64()),
-                "dbucket": _doc_bucket(batch.column("doc_id"), n_buckets),
-            }
-        )
-
-    side = _read(sf_dir, "documents", columns=["doc_id"]).map_batches(
-        doc_side, batch_format="pyarrow"
-    )
-
-    def finish(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby("doc_id", as_index=False)[["n", "s"]].sum()
-        return pd.DataFrame(
-            {
-                "doc_id": g.doc_id.to_numpy(np.int64),
-                "n_bigrams": g.n.to_numpy(np.int64),
-                "bigram_lp_micro_sum": g.s.to_numpy(np.int64),
-            }
-        )
-
-    return partials.union(side).groupby("dbucket").map_groups(
-        finish, batch_format="pandas"
+    return keyed_sum(
+        ds,
+        lambda b: _pairs(b)[1:],
+        pairs,
+        lp,
+        _doc_sum_columns("n_bigrams", "bigram_lp_micro_sum"),
     )
 
 

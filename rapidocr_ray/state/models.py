@@ -217,8 +217,16 @@ class ClsModel:
         n = x.shape[0]
         out = np.zeros((n, 2), dtype=np.float32)
         for i in range(n):
-            ink = x[i, 0] > 0.0  # M10 normalization maps ink->+1, bg->-1
-            rows = np.flatnonzero(ink.any(axis=1))
+            chan = x[i, 0]
+            # M10 zero-pads the right with 0.0, a value no resized pixel
+            # takes (k/255 never normalizes to exactly 0): drop pad columns
+            chan = chan[:, ~(chan == 0.0).all(axis=0)]
+            ink = chan > 0.0  # M10 normalization maps ink->+1, bg->-1
+            # the band spans every row with any ink, faint included: when
+            # M10 squeezes a long line the glyphs' one-pixel bottom anchor
+            # can fade below the 0.5 threshold, and a band of the dense
+            # top rows alone carries no orientation signal
+            rows = np.flatnonzero((chan > -1.0).any(axis=1))
             if rows.size == 0:
                 out[i] = [0.5, 0.5]
                 continue

@@ -18,6 +18,7 @@ def test_no_function_level_package_imports_in_worker_modules():
     for p in sorted((PKG / "functions").glob("*.py")) + [
         PKG / "glyphs.py",
         PKG / "sources" / "writers.py",
+        PKG / "stages" / "tiered.py",
     ]:
         for i, line in enumerate(p.read_text().splitlines(), 1):
             if re.match(r"\s+(from|import)\s+rapidocr_ray", line):
@@ -26,3 +27,16 @@ def test_no_function_level_package_imports_in_worker_modules():
         "function-level package imports in worker-shipped modules "
         "(hoist to module level):\n" + "\n".join(bad)
     )
+
+
+def test_no_sign_sentinel_row_kinds_in_queries():
+    """Tagged unions in the query registry mark row kinds with an
+    explicit kind column: a ``doc_id < 0`` / ``>= 0`` or ``event_id < 0``
+    / ``>= 0`` comparison would drop real rows with negative ids."""
+    path = PKG / "pipelines" / "queries.py"
+    bad = [
+        f"{path.relative_to(PKG.parent)}:{i}: {line.strip()}"
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\b(doc_id|event_id)\s*(<|>=)\s*0\b", line)
+    ]
+    assert not bad, "sign-sentinel row kinds:\n" + "\n".join(bad)

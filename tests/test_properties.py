@@ -3,7 +3,7 @@ golden-only strategy (SURVEY.md §5): randomized inputs exercise the
 kernels' invariants instead of fixed fixtures."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rapidocr_ray import glyphs
@@ -102,6 +102,9 @@ def test_minhash_estimate_bounds(seed_a, seed_b, n_words):
 
 @settings(max_examples=10, deadline=None)
 @given(st.lists(line_strategy, min_size=1, max_size=4))
+# a long line M10 squeezes 2:1 loses its one-pixel glyph anchors below
+# the cls ink threshold; cls must still read it upright
+@example(["0", "0", "0", "0 0 0 00 000 0000 0000000000 0000000000"])
 def test_oracle_page_roundtrip_property(lines):
     """Full-cascade property: any charset page (det path geometry)
     recovers its lines byte-for-byte in order.

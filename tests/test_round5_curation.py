@@ -185,10 +185,11 @@ def test_join_ops_empty_inputs(ray_session, tmp_path):
     assert len(got) == len(con.execute(q.ORACLE_SQL["doc_embedding_join"]).df()) == 0
 
 
-def test_unigram_logprob_fallback_matches_broadcast(ray_session):
-    """broadcast_limit=0 forces the token-bucketed attach shuffle; the
+def test_unigram_logprob_fallback_matches_broadcast(ray_session, monkeypatch):
+    """BROADCAST_LIMIT = 0 forces the token-bucketed attach shuffle; the
     result must equal the broadcast plan bit-for-bit."""
     from rapidocr_ray.pipelines.queries import q_unigram_logprob
+    from rapidocr_ray.stages import tiered
 
     a = (
         q_unigram_logprob(SF)
@@ -196,8 +197,9 @@ def test_unigram_logprob_fallback_matches_broadcast(ray_session):
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(tiered, "BROADCAST_LIMIT", 0)
     b = (
-        q_unigram_logprob(SF, broadcast_limit=0)
+        q_unigram_logprob(SF)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)

@@ -8,6 +8,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from rapidocr_ray.pipelines import queries as q
+from rapidocr_ray.stages import tiered
 
 
 def _docs_dir(tmp_path, ids, texts, langs, name="docs"):
@@ -84,7 +85,7 @@ def test_nb_empty_text_gets_prior_only(ray_session, tmp_path):
     assert len(df) == 4
 
 
-def test_nb_bucketed_equals_broadcast(ray_session, tmp_path):
+def test_nb_bucketed_equals_broadcast(ray_session, tmp_path, monkeypatch):
     rng = np.random.default_rng(7)
     vocab = {
         "en": [f"e{i}" for i in range(30)],
@@ -107,13 +108,15 @@ def test_nb_bucketed_equals_broadcast(ray_session, tmp_path):
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(tiered, "BROADCAST_LIMIT", 0)
     b = (
-        q.q_nb_classify_bucketed(d)
+        q.QUERIES["nb_classify"](d)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
+    monkeypatch.undo()
     # and both match the oracle
     _compare(q.QUERIES["nb_classify"](d), _oracle(d))
 
@@ -155,7 +158,7 @@ def test_bigram_logprob_hand_computed(ray_session, tmp_path):
     assert r.loc[1, "n_bigrams"] == 0 and r.loc[1, "bigram_lp_micro_sum"] == 0
 
 
-def test_bigram_bucketed_equals_broadcast_randomized(ray_session, tmp_path):
+def test_bigram_bucketed_equals_broadcast_randomized(ray_session, tmp_path, monkeypatch):
     rng = np.random.default_rng(99)
     vocab = np.array([f"w{i}" for i in range(20)])
     n = 150
@@ -170,13 +173,15 @@ def test_bigram_bucketed_equals_broadcast_randomized(ray_session, tmp_path):
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(tiered, "BROADCAST_LIMIT", 0)
     b = (
-        q.q_bigram_logprob_bucketed(d)
+        q.QUERIES["bigram_logprob"](d)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
+    monkeypatch.undo()
     con = duckdb.connect()
     con.execute(
         f"CREATE VIEW documents AS SELECT * FROM read_parquet('{d}/documents.parquet')"

@@ -8,6 +8,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from rapidocr_ray.pipelines import queries as q
+from rapidocr_ray.stages import tiered
 
 
 def _docs_dir(tmp_path, ids, texts, langs=None, name="docs"):
@@ -198,8 +199,8 @@ def test_temperature_resample_negative_doc_ids(ray_session, tmp_path):
     _compare(q.QUERIES["temperature_resample"](d), _oracle(d, "temperature_resample"))
 
 
-def test_nb_auto_fallback_at_zero_limit(ray_session, tmp_path):
-    """broadcast_limit=0 must route q_nb_classify through the bucketed
+def test_nb_auto_fallback_at_zero_limit(ray_session, tmp_path, monkeypatch):
+    """BROADCAST_LIMIT = 0 must route q_nb_classify through the bucketed
     plan automatically (not raise) and return the identical result."""
     texts = [f"aaa w{i % 5}" if i % 2 else f"xxx v{i % 3}" for i in range(40)]
     langs = ["en" if i % 2 else "fr" for i in range(40)]
@@ -220,8 +221,9 @@ def test_nb_auto_fallback_at_zero_limit(ray_session, tmp_path):
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(tiered, "BROADCAST_LIMIT", 0)
     b = (
-        q.q_nb_classify(str(d), broadcast_limit=0)
+        q.q_nb_classify(str(d))
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -229,9 +231,9 @@ def test_nb_auto_fallback_at_zero_limit(ray_session, tmp_path):
     pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
 
 
-def test_bigram_auto_fallback_at_zero_limit(ray_session, tmp_path):
-    """broadcast_limit=0 must route q_bigram_logprob through the
-    bucketed plan (reusing the handed-over count tables) and return the
+def test_bigram_auto_fallback_at_zero_limit(ray_session, tmp_path, monkeypatch):
+    """BROADCAST_LIMIT = 0 must route q_bigram_logprob through the
+    bucketed plan (reusing the materialized count table) and return the
     identical result."""
     d = _docs_dir(
         tmp_path,
@@ -245,8 +247,9 @@ def test_bigram_auto_fallback_at_zero_limit(ray_session, tmp_path):
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(tiered, "BROADCAST_LIMIT", 0)
     b = (
-        q.q_bigram_logprob(d, broadcast_limit=0)
+        q.q_bigram_logprob(d)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
