@@ -8,9 +8,10 @@ tables ``(url, warc_ts, html, text, lang)`` as a streaming
 - ``map_batches`` over zero-copy Arrow batches for all per-document
   transforms (decode/route, HTML boilerplate strip, det post-process,
   crop fan-out, assembly);
-- fixed-size actor pools for the stateful det -> cls -> rec cascade
-  stages (model state built once per worker in ``__init__``, the Ray
-  analog of the reference's ``lru_cache`` model registry,
+- one fused task per input block for read -> dedup filter ->
+  decode/route -> det -> cls -> rec -> assembly (model state built once
+  per worker process and reused by its tasks, the Ray analog of the
+  reference's ``lru_cache`` model registry,
   ocrweb_multi/rapidocr/rapid_ocr_api.py:53-61);
 - explicit partitioning: groupby-url dedup before extraction,
   skew-aware routing of oversized payloads, per-partition checkpoint

@@ -7,8 +7,9 @@ and overrides them with kwargs routed by prefix ``det_*/cls_*/rec_*``
 (python/rapidocr_onnxruntime/utils.py:218-287 ``UpdateParameters``) plus
 per-call kwargs (rapid_ocr_api.py:58-65).  Here the same shape is a
 frozen dataclass tree with ``with_overrides(**kw)`` doing the prefix
-routing; configs are immutable after an actor pool is built (actors are
-constructed from a config snapshot, never mutated mid-pipeline).
+routing; configs are immutable once a pipeline is built (every task
+runs its stages from a pickled config snapshot, never mutated
+mid-pipeline).
 """
 
 from __future__ import annotations
@@ -90,14 +91,14 @@ class HtmlConfig:
 
 @dataclass(frozen=True)
 class RayConfig:
-    """Physical execution knobs (SURVEY.md §4) for the two Ray Data
-    stages: decode/route/html batches and the fused cascade pool."""
+    """Physical execution knobs (SURVEY.md §4).  The Ray plan has none
+    to set: both extraction stages map whole blocks in fused tasks
+    (pipelines/extract.py, ``DEFAULT_ROWS_PER_BLOCK``).  These sizes
+    slice an in-process run of the same two stages, such as the
+    benchmark's serial pass (perfbench/traced.py)."""
 
-    cascade_concurrency: int = 64    # cascade-pool size cap; actual pool =
-                                     # min(cap, cluster CPUs - 2) so the
-                                     # cascade scales with the session
-    batch_size_docs: int = 64        # decode/html stage (multi-KB rows)
-    batch_size_bitmap: int = 16      # cascade stage (multi-MB decoded payloads)
+    batch_size_docs: int = 64        # rows per decode/route/html call
+    batch_size_bitmap: int = 16      # rows per cascade call
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """The flagship extraction pipeline as a lazy ray.data.Dataset graph.
 
-    read -> [dedup by url] -> decode/route/html -> cascade actor pool
+    read -> [dedup by url] -> decode/route/html -> cascade
          (det -> cls -> rec -> per-document assembly)
 
 Scale notes (SURVEY.md §4, §7.3):
@@ -10,16 +10,17 @@ Scale notes (SURVEY.md §4, §7.3):
   narrow columns, so the payload bytes never enter a shuffle; only
   ``strict`` dedup shuffles full payloads.  When the input is already
   url-unique, pass ``dedup=False`` and the pipeline is shuffle-free.
-- crops never leave the cascade actor: det, cls, rec and assembly run
-  in one call per batch, and only text/span rows enter the object
-  store.
-- the cascade pool is fixed-size, sized to the session (see
-  ``build_extract_pipeline``); per-actor num_cpus=1 and the seeded
-  kernels hold the GIL, matching the reference's
-  one-ORT-session-per-process layout.
-- oversized payloads (skew, SURVEY.md §4): rows are routed to batches
-  by Ray's block splitting; the cascade batch_size is small (bitmap
-  rows are multi-KB..MB) while decode/html batch_size is larger.
+- one task per block: the dedup filter, decode/route/html and the
+  cascade are task-based maps over whole blocks, which Ray Data fuses
+  with the read (and with a following write) into one operator.  Every
+  CPU of the session runs that task, worker processes are reused
+  across tasks and jobs, and no job waits for an actor pool to start.
+- crops never leave the task: det, cls, rec and assembly run in one
+  call per block, and only text/span rows enter the object store.
+  Models are built once per worker process (``CascadeStage``).
+- oversized payloads (skew, SURVEY.md §4) become typed error rows in
+  decode/route; block size is set at the source
+  (``DEFAULT_ROWS_PER_BLOCK``), which makes it the unit of scheduling.
 """
 
 from __future__ import annotations
@@ -27,7 +28,12 @@ from __future__ import annotations
 import ray.data
 
 from rapidocr_ray.config import PipelineConfig
-from rapidocr_ray.util import ensure_worker_importable, lru_cache_get, session_cpus
+from rapidocr_ray.util import (
+    ensure_worker_importable,
+    lru_cache_get,
+    process_cache,
+    session_cpus,
+)
 from rapidocr_ray.stages.ray_stages import (
     CascadeStage,
     DecodeRouteExtract,
@@ -82,10 +88,10 @@ def _footer_rows(files: list[str]) -> int:
 def _winners_merge(broadcast_limit: int, *partials) -> dict | None:
     """Merge per-file winner partials into the broadcast dict.  Runs AS
     A RAY TASK taking the partial ObjectRefs so the whole winners pass
-    (reads AND merge) materializes while the driver builds the main
-    pipeline and the actor pool spins up — the first keep_winners call
-    blocks on the ObjectRef, by which time it is ready (fully
-    overlapped instead of a serial driver phase)."""
+    (reads AND merge) materializes while the driver builds and starts
+    the main pipeline — the first keep_winners call blocks on the
+    ObjectRef, by which time it is ready or nearly so (overlapped
+    instead of a serial driver phase)."""
     import pandas as pd
 
     agg = pd.concat(list(partials)).groupby(level=0).max()
@@ -157,11 +163,11 @@ def dedup_by_url(
         # winners task to learn whether to fall back — the common
         # (bounded) case keeps the fully overlapped plan.
         # num_cpus=0: the winners pass is a narrow projection read
-        # (I/O-bound, seconds).  It MUST be able to schedule even when
-        # long-lived cascade actors hold every CPU slot — a num_cpus=1
-        # task behind a full actor pool deadlocks the pipeline (the
-        # first keep_winners call blocks on this ref inside an actor
-        # that will never yield its CPU).  Reader tasks fan out over
+        # (I/O-bound, seconds) that every extraction task waits on in
+        # its first keep_winners call.  Holding no CPU, it starts at
+        # once instead of queueing behind the fused extraction tasks
+        # of this and of concurrently running partitions, which take
+        # every CPU slot of the session.  Reader tasks fan out over
         # file CHUNKS (bounded by session width) so wall time stays
         # flat as file count grows (VERDICT r4 #4) without paying
         # per-task overhead on tiny files; the merge is itself a task
@@ -259,13 +265,10 @@ def dedup_by_url(
     return ds.map_batches(keep_winners, batch_format="pyarrow")
 
 
-_WINNER_CACHE: dict = {}
-
-
 def _winners_cached(ref):
     """ray.get deserializes a plain dict on every call; cache it per
-    worker (keyed by object ref) so the filter pays the cost once per
-    worker instead of once per batch."""
+    worker process (keyed by object ref) so the filter pays the cost
+    once per worker instead of once per block."""
     import ray as _ray
 
     # stored as a pd.Series: Series.map(dict) rebuilds a Series
@@ -278,7 +281,13 @@ def _winners_cached(ref):
 
         return _pd.Series(_ray.get(ref))
 
-    return lru_cache_get(_WINNER_CACHE, ref.hex(), build, maxsize=2)
+    return lru_cache_get(process_cache("winners"), ref.hex(), build, maxsize=2)
+
+
+# ONE source of truth for page-block granularity: read_pages' default,
+# extract_pages_table's slices and the resumable runner all use it.  A
+# block is the unit of scheduling: one fused extraction task each.
+DEFAULT_ROWS_PER_BLOCK = 128
 
 
 def build_extract_pipeline(
@@ -291,74 +300,37 @@ def build_extract_pipeline(
     (FINAL_SCHEMA: url, ..., extracted_text, n_spans, spans, elapses)."""
     cfg = cfg or PipelineConfig()
     ensure_worker_importable()
-    rc = cfg.Ray
     # NOTE on block granularity: blocks are the unit of task dispatch,
     # and ds.repartition() is an all-to-all BARRIER that materializes
     # the whole input in the object store (measured: it is what made
     # 64k-doc runs degrade superlinearly).  So this builder does NOT
     # repartition — callers control granularity at the source, where it
     # is free and streaming: read_parquet(override_num_blocks=...) via
-    # sources.pages.read_pages, or a sliced from_arrow via
-    # extract_pages_table.  ~2x the cascade batch size per block keeps
-    # the pool busy through the tail.
+    # read_pages, or a sliced from_arrow via extract_pages_table.
     if dedup:
         ds = dedup_by_url(ds, winners_files=winners_files)
-    ds = ds.map_batches(
-        DecodeRouteExtract(cfg),
-        batch_format="pyarrow",
-        batch_size=rc.batch_size_docs,
-    )
-    # fixed-size pool sized to the session: autoscaling ramps too slowly
-    # for short waves, leaving the pool at ~3x effective parallelism
-    # while 20+ core-seconds of cascade work queue up
-    cpus = session_cpus()
-    # leave a small slice of the session for the read tasks (decode
-    # fuses into the pool; in-actor assembly leaves no downstream
-    # stage): measured at 32 CPUs, pool=30 beats 28 (1106 vs 911
-    # docs/s) because reads are cheap parquet decodes that interleave
-    # fine with 30 busy cascade actors.  On tiny (<8 CPU) sessions
-    # reserve 2 slots, not 1: back-to-back pipelines can briefly
-    # overlap with the previous pool's not-yet-released actors, and a
-    # pool sized to cpus-1 then starves its own read task forever
-    # (observed 4-CPU suite deadlock, r4).
-    margin = max(1, cpus // 16) if cpus >= 8 else 2
-    # clamp the floor to the session: on 2-3 CPU sessions the max(2,..)
-    # floor must not exceed cpus-1 or the pool starves its own read task
-    # (ADVICE r4) — degrade to pool=1 there.
-    pool = min(max(2, min(rc.cascade_concurrency, cpus - margin)), max(1, cpus - 1))
-    return ds.map_batches(
-        CascadeStage,
-        fn_constructor_kwargs={"cfg": cfg},
-        batch_format="pyarrow",
-        batch_size=rc.batch_size_bitmap,
-        concurrency=pool,
-        num_cpus=1,
-    )
+    # Both stages are callable INSTANCES over whole blocks: task-based
+    # maps with default resources, which Ray Data fuses with the read
+    # and the keep_winners filter into one task per block.  Setting a
+    # batch_size, concurrency or num_cpus on either stage splits that
+    # fusion (a batch size makes each task wait to bundle blocks; a
+    # concurrency makes an actor pool that every job must start).
+    for stage in (DecodeRouteExtract(cfg), CascadeStage(cfg)):
+        ds = ds.map_batches(stage, batch_format="pyarrow", batch_size=None)
+    return ds
 
 
 def extract_pages_table(table, cfg: PipelineConfig | None = None, dedup: bool = True):
     """Convenience: pyarrow pages table -> final Dataset.  The table is
-    sliced into ~2x-cascade-batch blocks driver-side (from_arrow with a
-    table list emits one block per slice) so the pipeline parallelizes
-    without a repartition barrier."""
-    cfg = cfg or PipelineConfig()
-    # 128 rows/block matches the parquet-path finding (read_pages
-    # docstring): enough blocks to fill the pool through the tail
-    # without per-task overhead dominating
-    rows_per_block = max(1, 8 * cfg.Ray.batch_size_bitmap)
+    sliced into ``DEFAULT_ROWS_PER_BLOCK``-row blocks driver-side
+    (from_arrow with a table list emits one block per slice) so the
+    pipeline parallelizes without a repartition barrier."""
     slices = [
-        table.slice(off, rows_per_block)
-        for off in range(0, table.num_rows, rows_per_block)
+        table.slice(off, DEFAULT_ROWS_PER_BLOCK)
+        for off in range(0, table.num_rows, DEFAULT_ROWS_PER_BLOCK)
     ] or [table]
     ds = ray.data.from_arrow(slices)
     return build_extract_pipeline(ds, cfg=cfg, dedup=dedup)
-
-
-# ONE source of truth for page-block granularity: read_pages' default
-# AND the resumable runner's block-count estimate derive from it (a
-# silent drift between the two would mis-size the cascade pool cap —
-# ADVICE r3)
-DEFAULT_ROWS_PER_BLOCK = 128
 
 
 def read_pages(
@@ -371,10 +343,10 @@ def read_pages(
     emits right-sized blocks natively (streaming, no barrier).
 
     128 rows/block measured best on the det-path corpus at 32 CPUs
-    (64 -> 48.3s, 128 -> 28.9s, 256 -> 35.1s this round): smaller
-    blocks pay per-task parquet open/decode overhead, larger ones
-    straggle on the pool tail.  Blocks can only split at parquet
-    row-group boundaries — write sources with small row groups
+    (64 -> 48.3s, 128 -> 28.9s, 256 -> 35.1s, with the earlier
+    actor-pool plan): smaller blocks pay per-task parquet open/decode
+    overhead, larger ones straggle on the tail.  Blocks can only split
+    at parquet row-group boundaries — write sources with small row groups
     (sources.pages.write_pages_parquet row_group_size=64)."""
     import pyarrow.parquet as pq
 

@@ -2,7 +2,7 @@
 ch_ppocr_v3_det/text_detect.py:28-58, ch_ppocr_v2_cls/text_cls.py:28-35,
 ch_ppocr_v3_rec/text_recognize.py:27-38).
 
-These are per-document/per-crop-list APIs.  The Ray actor-pool stages
+These are per-document/per-crop-list APIs.  The Ray stages
 (stages/ray_stages.py) and the single-process oracle
 (pipelines/oracle.py) both call EXACTLY these objects, so distributed
 vs sequential execution can only differ in orchestration, never in

@@ -1,20 +1,22 @@
 """Ray Data stages of the extraction pipeline.
 
 The reference's single-process cascade (rapid_ocr_api.py:56-107) runs
-as two Dataset stages:
+as two callable stages that Ray Data fuses, together with the read and
+the dedup filter, into ONE task per input block:
 
-    decode/route/html (stateless map)  ->  cascade (actor pool: det ->
-    cls -> rec -> per-document assembly)
+    decode/route/html  ->  cascade (det -> cls -> rec -> per-document
+    assembly)
 
 ``DecodeRouteExtract`` emits one *document* row per page in
 ``UNIFIED_SCHEMA``; ``CascadeStage`` turns those rows into
-``FINAL_SCHEMA`` rows.  Crops never leave the cascade actor, so the
-pipeline has no all-to-all operation after dedup.  Stateful stages are
-callable classes: model registry built once per actor in ``__init__``
-(T1/T3 analog), work in ``__call__`` per batch, batched ACROSS
-documents and grouped by ``lang`` for model dispatch (J3).  Batch
-composition cannot change results: pad width (A1) only adds blank
-timesteps, which the CTC decode drops.
+``FINAL_SCHEMA`` rows.  Crops never leave the task, so the pipeline has
+no all-to-all operation after dedup.  Both stages are passed to
+``map_batches`` as instances and work in ``__call__`` per block,
+batched ACROSS documents and grouped by ``lang`` for model dispatch
+(J3); the model registry is built once per worker process (T1/T3
+analog, see ``CascadeStage``).  Batch composition cannot change
+results: pad width (A1) only adds blank timesteps, which the CTC
+decode drops.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from rapidocr_ray.stages.cascade import (
     most_angle,
 )
 from rapidocr_ray.state.models import ModelRegistry
+from rapidocr_ray.util import lru_cache_get, process_cache
 
 # DecodeRouteExtract -> CascadeStage row format: one row per document,
 # exactly the columns the cascade reads
@@ -259,10 +262,10 @@ def sniff_routes_batch(payloads: pa.Array) -> tuple[np.ndarray, np.ndarray]:
 
 
 class DecodeRouteExtract:
-    """Stage 1 (stateless task is fine, but a class lets the HtmlConfig
-    live once per worker): sniff payload -> route; run the HTML fast
-    path inline for html rows (it is orders of magnitude cheaper than
-    the cascade — SURVEY.md §6); bitmap payloads ride along untouched.
+    """Stage 1 (a stateless callable carrying the config): sniff payload
+    -> route; run the HTML fast path inline for html rows (it is
+    orders of magnitude cheaper than the cascade — SURVEY.md §6);
+    bitmap payloads ride along untouched.
 
     Routing is fully columnar (``sniff_routes_batch``); the only
     per-row Python left is the HTML parse itself, which is inherently
@@ -300,7 +303,7 @@ class DecodeRouteExtract:
             routes[i] = "error"
             errs[i] = err
         # skew guard: an oversized blob would monopolize a cascade
-        # actor; surface it as a typed error row (overrides the sniff)
+        # task; surface it as a typed error row (overrides the sniff)
         lengths = pc.fill_null(pc.binary_length(payloads), 0).to_numpy(
             zero_copy_only=False
         )
@@ -365,31 +368,42 @@ class DecodeRouteExtract:
 
 
 class CascadeStage:
-    """Fused det -> cls -> rec actor-pool stage (the only extraction
-    plan).  The reference's stage boundaries are per-doc function calls
-    inside one process (SURVEY.md §3.1 'all the boundaries are ours to
-    draw'); fusing them into one Ray stage means crop payloads NEVER
-    enter the object store — only text/span rows leave the actor — while
-    cls/rec still batch ACROSS the documents of the batch (M16/A1
+    """Fused det -> cls -> rec stage (the only extraction plan).  The
+    reference's stage boundaries are per-doc function calls inside one
+    process (SURVEY.md §3.1 'all the boundaries are ours to draw');
+    fusing them into one call per block means crop payloads NEVER enter
+    the object store — only text/span rows leave the task — while
+    cls/rec still batch ACROSS the documents of the block (M16/A1
     micro-batching is batch-composition-invariant, tested in
     tests/test_cascade.py::test_batch_composition_invariant).
 
     Because every region of a document is produced and consumed inside
-    ONE actor call, the stage also performs the per-document assembly
+    ONE call, the stage also performs the per-document assembly
     (J1/M15/A5/A6) and emits FINAL_SCHEMA rows directly, so the
-    pipeline has NO all-to-all operation after dedup."""
+    pipeline has NO all-to-all operation after dedup.
+
+    An instance pickles as its config alone; unpickling re-runs
+    ``__init__``, which takes the ``ModelRegistry`` for the backend from
+    the worker process's cache.  Models are therefore built once per
+    worker process (the T1/T3 analog), not once per task."""
 
     def __init__(self, cfg: PipelineConfig | None = None):
         self.cfg = cfg or PipelineConfig()
-        self.registry = ModelRegistry(self.cfg.Global.backend)
+        backend = self.cfg.Global.backend
+        self.registry = lru_cache_get(
+            process_cache("model_registries"), backend, lambda: ModelRegistry(backend)
+        )
         self.detector = TextDetector(self.cfg.Det, self.registry)
         self.classifier = TextClassifier(self.cfg.Cls, self.registry)
         self.recognizer = TextRecognizer(self.cfg.Rec, self.registry)
 
+    def __reduce__(self):
+        return (type(self), (self.cfg,))
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         g = self.cfg.Global
         docs: list[dict] = []
-        # per-doc det + crop fan-out, crops held in actor memory
+        # per-doc det + crop fan-out, crops held in task memory
         pending: list[tuple[int, int, "np.ndarray", list[int], str]] = []
         # (doc_idx, region_idx, crop, box, lang)
         # columnar row access: the payload column is read as zero-copy
@@ -469,7 +483,7 @@ class CascadeStage:
             rec_elapse = (time.perf_counter() - t2) / max(1, len(idxs))
             for i, (text, score) in zip(idxs, decoded):
                 rec_results[i] = (text, score, cls_elapse, rec_elapse)
-        # in-actor assembly (J1/M15/A5/A6): regions are already ordered
+        # in-task assembly (J1/M15/A5/A6): regions are already ordered
         # per doc by region_idx (construction order)
         spans_by_doc: dict[int, list] = {}
         for i, (doc_idx, ridx, _crop, box, _lang) in enumerate(pending):

@@ -303,18 +303,14 @@ def run_resumable(
     for unsharded inputs pass files_per_partition=len(input_files)).
 
     ``partition_parallelism > 1`` submits that many partitions' pipelines
-    concurrently (driver threads; Ray interleaves their tasks on the one
-    cluster).  At production shard counts this hides the per-partition
-    ramp (pool spin-up, winners pass) behind the previous partition's
-    compute; each concurrent partition's cascade pool is sized to its
-    1/k slice of the session so k pipelines never oversubscribe."""
-    from rapidocr_ray.config import PipelineConfig
-    from rapidocr_ray.pipelines.extract import (
-        DEFAULT_ROWS_PER_BLOCK,
-        build_extract_pipeline,
-        read_pages,
-    )
-    from rapidocr_ray.util import harden_lazy_imports, session_cpus
+    concurrently (driver threads; Ray interleaves their fused tasks on
+    the one cluster).  At production shard counts this hides each
+    partition's ramp and tail (winners pass, last blocks) behind the
+    other partitions' compute.  Every pipeline is task-based, so k
+    pipelines share the session's CPUs without sizing rules: a task
+    holds its CPU only for one block, and none can starve the others."""
+    from rapidocr_ray.pipelines.extract import build_extract_pipeline, read_pages
+    from rapidocr_ray.util import harden_lazy_imports
 
     harden_lazy_imports()
     os.makedirs(out_dir, exist_ok=True)
@@ -323,17 +319,7 @@ def run_resumable(
         for i in range(0, len(input_files), files_per_partition)
     ]
     done = completed_partitions(out_dir)
-    base_cfg = cfg or PipelineConfig()
     k = max(1, min(partition_parallelism, len(groups)))
-    slice_cap = None
-    if k > 1:
-        cpus = session_cpus()
-        # each concurrent partition needs >= 2 cascade actors plus
-        # headroom for its read tasks; on tiny sessions concurrency
-        # degrades to serial rather than deadlocking the scheduler
-        k = max(1, min(k, cpus // 6))
-        if k > 1:
-            slice_cap = max(2, cpus // k - 1)
 
     import threading
 
@@ -342,23 +328,6 @@ def run_resumable(
     def run_partition(pid: int, group: list[str]) -> dict:
         # one footer scan per group: read_pages reuses the total
         total = sum(pq.ParquetFile(f).metadata.num_rows for f in group)
-        # size the cascade pool to the partition's WORK, not the
-        # session width: each actor is a fresh process (imports + by-
-        # value module ship, ~1s), so an actor must amortize its
-        # spin-up over several blocks or ramp dominates (measured on
-        # the 19-block bench partition: pool 15 -> 8.3s, pool 6 ->
-        # 3.8s end-to-end).  At production partition sizes n_blocks is
-        # huge and the concurrency/slice caps bind instead — this only
-        # throttles partitions too small to use a wide pool anyway.
-        # Block-count estimate derives from the SAME rows_per_block
-        # constant read_pages uses (ADVICE r3: no silent drift).
-        n_blocks = max(len(group), total // DEFAULT_ROWS_PER_BLOCK)
-        pool_cap = min(
-            base_cfg.Ray.cascade_concurrency, max(2, n_blocks // 3)
-        )
-        if slice_cap is not None:
-            pool_cap = min(pool_cap, slice_cap)
-        part_cfg = base_cfg.with_overrides(ray_cascade_concurrency=pool_cap)
         with build_lock:
             # dataset BUILD (path resolution, plan construction) hits
             # lazy imports inside Ray/pyarrow that are not thread-safe;
@@ -366,7 +335,7 @@ def run_resumable(
             # while the EXECUTIONS still overlap
             ds = read_pages(group, total_rows=total)
             result = build_extract_pipeline(
-                ds, cfg=part_cfg, dedup=dedup, winners_files=group
+                ds, cfg=cfg, dedup=dedup, winners_files=group
             )
         return write_partition_streamed(out_dir, pid, result, group)
 

@@ -10,9 +10,9 @@ the same ``infer(tensor) -> ndarray`` interface.  Everything
 *observable* (tensor contracts NCHW float32, prob-map post-processing,
 argmax semantics, CTC logit layout) matches the reference's shapes.
 
-``ModelRegistry`` is the T3 analog: a per-actor dict cache keyed by
+``ModelRegistry`` is the T3 analog: a per-process dict cache keyed by
 ``(stage, model_name)`` plus a language -> (det, cls, rec) routing
-table (J3, ocrweb_multi/config.yaml:72-104), so one actor serves many
+table (J3, ocrweb_multi/config.yaml:72-104), so one worker serves many
 languages with shared sub-models.
 """
 
@@ -449,9 +449,10 @@ DEFAULT_LANG = "en"
 
 
 class ModelRegistry:
-    """Per-actor model cache keyed (stage, name) — the lru_cache analog.
+    """Per-process model cache keyed (stage, name) — the lru_cache analog.
 
-    Built once in each Ray actor's ``__init__``; ``for_lang`` resolves
+    One per backend in each worker process (``CascadeStage`` takes it
+    from the process cache, so every task reuses it); ``for_lang`` resolves
     the routing table and returns shared session objects.  ``backend``
     picks the session implementation family (T2 strategy; the config
     surface is ``Global.backend``)."""

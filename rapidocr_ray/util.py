@@ -16,6 +16,7 @@ caller).
 from __future__ import annotations
 
 import sys
+import types
 
 import numpy as np
 
@@ -80,6 +81,23 @@ def lru_cache_get(cache: dict, key, build, maxsize: int = 4):
         cache.pop(next(iter(cache)))
     cache[key] = val
     return val
+
+
+_PROCESS_STATE = "rapidocr_ray_process_state"
+
+
+def process_cache(name: str) -> dict:
+    """The dict named ``name`` that lives once per worker PROCESS.
+
+    A module-level dict cannot be that cache: code shipped by value
+    (``ensure_worker_importable``) unpickles with a fresh copy of every
+    global it references, once per task, so such a dict starts empty in
+    each task.  This one hangs off a placeholder module in
+    ``sys.modules``, which every unpickled copy of the code shares."""
+    state = sys.modules.get(_PROCESS_STATE)
+    if state is None:
+        state = sys.modules.setdefault(_PROCESS_STATE, types.ModuleType(_PROCESS_STATE))
+    return vars(state).setdefault(name, {})
 
 
 def stack_list_column(col, dtype=np.float64) -> np.ndarray:

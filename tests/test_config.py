@@ -32,6 +32,7 @@ def test_cls_double_prefix_both_spellings():
         "ray_cls_concurrency",
         "ray_rec_concurrency",
         "ray_batch_size_regions",
+        "ray_cascade_concurrency",
     ],
 )
 def test_unknown_key_raises(key):

@@ -145,15 +145,14 @@ ray.shutdown()
 
 
 def test_partition_parallelism_4_under_contention(tmp_path):
-    """k=4 with 8 UNDERSIZED partitions (1 file / ~8 docs each, so
-    every pool wants more actors than its slice allows):
+    """k=4 with 8 UNDERSIZED partitions (1 file / ~8 docs each):
 
-    - 8-CPU session: the cap math (k = min(k, cpus // 6)) must degrade
-      to SERIAL rather than deadlock the scheduler (the 4-CPU
-      starvation bug of r4, proven at the next size up);
-    - 24-CPU session: genuine k=4 contention — four pipelines share one
-      cluster with per-slice pool caps; must complete with all
-      manifests written.
+    - 8-CPU session: k=4 runs concurrently — four task-based pipelines
+      share a small session with no sizing rule and must not starve
+      each other (the 4-CPU actor-pool starvation of r4 is the bug this
+      guards, proven at the next size up);
+    - 24-CPU session: the same four concurrent pipelines with CPUs to
+      spare; must complete with all manifests written.
 
     Both sizes run in fresh subprocesses (own Ray sessions) inside ONE
     test so the determinism comparison is self-contained (no marker
@@ -177,6 +176,6 @@ def test_partition_parallelism_4_under_contention(tmp_path):
         assert rep["n"] == 8 and rep["skipped"] == [], ncpu
         assert rep["rows"] > 0, ncpu
         reports[ncpu] = rep
-    # determinism across parallelism levels (serial-degraded vs k=4)
+    # determinism across session sizes (k=4 at 8 and at 24 CPUs)
     assert reports[8]["hashes"] == reports[24]["hashes"]
     assert reports[8]["rows"] == reports[24]["rows"]

@@ -309,3 +309,51 @@ def test_gzip_multi_member_concatenates():
         _gzip.compress(b"\x00" * 600) + _gzip.compress(b"\x00" * 600), 1000
     )
     assert out3 is None and "max_payload_bytes" in err3
+
+
+def test_extraction_is_one_fused_operator(ray_session, tmp_path):
+    """read -> keep_winners -> decode/route -> cascade is ONE task-based
+    operator (a batch_size or concurrency on a stage would split it),
+    and its output is still the oracle's per url."""
+    from rapidocr_ray.pipelines.extract import build_extract_pipeline, read_pages
+    from rapidocr_ray.sources.pages import write_pages_parquet
+
+    pages = synth_pages(60, seed=3)
+    files = write_pages_parquet(pages, str(tmp_path), n_files=3, row_group_size=8)
+    ds = build_extract_pipeline(read_pages(files), winners_files=files).materialize()
+
+    operators = [
+        line for line in ds.stats().splitlines() if line.startswith("Operator ")
+    ]
+    assert len(operators) == 1, operators
+    assert "ReadParquet" in operators[0]
+    assert "MapBatches(CascadeStage)" in operators[0]
+
+    got = _to_sorted_pandas(ds.to_pandas())
+    want = _to_sorted_pandas(OracleExtractor().run(pages))
+    assert {"html", "bitmap"} <= set(got.route)
+    for col in COMPARE_COLS:
+        assert got[col].fillna("<NULL>").tolist() == want[col].fillna("<NULL>").tolist(), col
+
+
+def test_shipped_cascade_stage_shares_the_process_registry():
+    """A CascadeStage shipped by value (as to every extraction task)
+    takes its ModelRegistry from the process cache: models are built
+    once per worker process, not once per task."""
+    from ray import cloudpickle
+
+    from rapidocr_ray.config import PipelineConfig
+    from rapidocr_ray.stages.ray_stages import CascadeStage
+    from rapidocr_ray.util import ensure_worker_importable
+
+    # by-value pickling unpickles fresh copies of the module globals
+    # on every round trip, exactly as on a worker
+    ensure_worker_importable()
+    stage = CascadeStage(PipelineConfig())
+    a = cloudpickle.loads(cloudpickle.dumps(stage))
+    b = cloudpickle.loads(cloudpickle.dumps(stage))
+    assert a.registry is b.registry
+    assert a.cfg == stage.cfg
+    contract = PipelineConfig().with_overrides(backend="contract")
+    c = cloudpickle.loads(cloudpickle.dumps(CascadeStage(contract)))
+    assert c.registry.backend == "contract" and c.registry is not a.registry
