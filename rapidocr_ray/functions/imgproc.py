@@ -22,14 +22,7 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 
-def det_resize(img: np.ndarray, limit_side_len: int = 960, limit_type: str = "max"):
-    """Returns (resized_img, (src_h, src_w, ratio_h, ratio_w)).
-
-    Mirrors DetResizeForTest.resize_image_type0: ratio chosen from the
-    limit rule, target dims rounded to x32, early-return None analog for
-    degenerate sizes (utils.py:178-180) mapped to raising ValueError.
-    """
-    src_h, src_w = img.shape[:2]
+def _det_resize_dims(src_h: int, src_w: int, limit_side_len: int, limit_type: str) -> tuple[int, int]:
     h, w = float(src_h), float(src_w)
     if limit_type == "max":
         ratio = float(limit_side_len) / max(h, w) if max(h, w) > limit_side_len else 1.0
@@ -41,10 +34,38 @@ def det_resize(img: np.ndarray, limit_side_len: int = 960, limit_type: str = "ma
     resize_w = int(round(w * ratio / 32.0) * 32)
     if resize_h <= 0 or resize_w <= 0:
         raise ValueError("image too small to resize")  # utils.py:178-180 analog
+    return resize_h, resize_w
+
+
+def det_resize(img: np.ndarray, limit_side_len: int = 960, limit_type: str = "max"):
+    """Returns (resized_img, (src_h, src_w, ratio_h, ratio_w)).
+
+    Mirrors DetResizeForTest.resize_image_type0: ratio chosen from the
+    limit rule, target dims rounded to x32, early-return None analog for
+    degenerate sizes (utils.py:178-180) mapped to raising ValueError.
+    """
+    src_h, src_w = img.shape[:2]
+    resize_h, resize_w = _det_resize_dims(src_h, src_w, limit_side_len, limit_type)
     resized = resize_bilinear(img, resize_h, resize_w)
-    ratio_h = resize_h / float(src_h)
-    ratio_w = resize_w / float(src_w)
-    return resized, (src_h, src_w, ratio_h, ratio_w)
+    return resized, (src_h, src_w, resize_h / float(src_h), resize_w / float(src_w))
+
+
+def det_resize_ink(img: np.ndarray, limit_side_len: int = 960, limit_type: str = "max"):
+    """``det_resize`` fused with the det kernel's 128-gray ink threshold
+    -> (bool ink map, shape_info); the map equals
+    ``det_resize(img)[0] >= 128``.  The uint8 resize rounds the float32
+    value v to floor(v + 0.5), and floor(v + 0.5) >= 128 exactly when
+    v + 0.5 >= 128 in the same float32 arithmetic, so the threshold is
+    taken before the rounding and the uint8 cast."""
+    src_h, src_w = img.shape[:2]
+    resize_h, resize_w = _det_resize_dims(src_h, src_w, limit_side_len, limit_type)
+    if (resize_h, resize_w) == (src_h, src_w):
+        ink = img >= 128
+    else:
+        v = _bilinear(img, resize_h, resize_w)
+        v += np.float32(0.5)
+        ink = v >= 128
+    return ink, (src_h, src_w, resize_h / float(src_h), resize_w / float(src_w))
 
 
 def resize_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -55,6 +76,40 @@ def resize_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     rows = np.minimum((np.arange(out_h) + 0.5) * (src_h / out_h), src_h - 1).astype(np.int64)
     cols = np.minimum((np.arange(out_w) + 0.5) * (src_w / out_w), src_w - 1).astype(np.int64)
     return img[rows][:, cols]
+
+
+def bilinear_taps(src_n: int, out_n: int, dtype=np.float32):
+    """cv2.INTER_LINEAR taps along one axis: half-pixel centres
+    (src = (dst + 0.5) * scale - 0.5), edge clamp -> (i0, i1, weight of
+    i1) per output index."""
+    s = (np.arange(out_n) + 0.5) * (src_n / out_n) - 0.5
+    i0 = np.clip(np.floor(s), 0, src_n - 1).astype(np.int64)
+    i1 = np.minimum(i0 + 1, src_n - 1)
+    return i0, i1, np.clip(s - i0, 0.0, 1.0).astype(dtype)
+
+
+def _bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Unrounded separable bilinear resize of a 2-D image: float32 for
+    uint8 input, float64 otherwise.  Rows first (two row gathers), then
+    columns (two column gathers) — half the gather traffic of the
+    4-corner form; uint8 rows are gathered before the float cast."""
+    src_h, src_w = img.shape
+    # float32 accumulation for uint8 inputs: exact for 0..255 pixel
+    # values times dyadic-rational weights well inside float32's 24-bit
+    # mantissa (cv2's fixed-point path is coarser still); half the
+    # memory traffic of float64 on the hot det-resize pass
+    dt = np.float32 if img.dtype == np.uint8 else np.float64
+    y0, y1, wy = bilinear_taps(src_h, out_h, dt)
+    x0, x1, wx = bilinear_taps(src_w, out_w, dt)
+    wy = wy[:, None]
+    rows = np.multiply(img[y0], 1 - wy, dtype=dt)
+    rows += np.multiply(img[y1], wy, dtype=dt)     # [out_h, src_w]
+    out = rows[:, x0]
+    out *= 1 - wx
+    right = rows[:, x1]
+    right *= wx
+    out += right
+    return out
 
 
 def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -71,27 +126,9 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     single-channel end-to-end); the separable weight arrays broadcast
     against 2-D only."""
     assert img.ndim == 2, "resize_bilinear expects a 2-D grayscale image"
-    src_h, src_w = img.shape[:2]
-    if (out_h, out_w) == (src_h, src_w):
+    if (out_h, out_w) == img.shape:
         return img
-    y = (np.arange(out_h) + 0.5) * (src_h / out_h) - 0.5
-    x = (np.arange(out_w) + 0.5) * (src_w / out_w) - 0.5
-    y0 = np.clip(np.floor(y), 0, src_h - 1).astype(np.int64)
-    x0 = np.clip(np.floor(x), 0, src_w - 1).astype(np.int64)
-    y1 = np.minimum(y0 + 1, src_h - 1)
-    x1 = np.minimum(x0 + 1, src_w - 1)
-    # float32 accumulation for uint8 inputs: exact for 0..255 pixel
-    # values times dyadic-rational weights well inside float32's 24-bit
-    # mantissa (cv2's fixed-point path is coarser still); half the
-    # memory traffic of float64 on the hot det-resize pass
-    dt = np.float32 if img.dtype == np.uint8 else np.float64
-    wy = np.clip(y - y0, 0.0, 1.0)[:, None].astype(dt)
-    wx = np.clip(x - x0, 0.0, 1.0)[None, :].astype(dt)
-    f = img.astype(dt)
-    # separable: interpolate rows first (2 row gathers), then columns
-    # (2 column gathers) — half the gather traffic of the 4-corner form
-    rows_i = f[y0] * (1 - wy) + f[y1] * wy           # [out_h, src_w]
-    out = rows_i[:, x0] * (1 - wx) + rows_i[:, x1] * wx
+    out = _bilinear(img, out_h, out_w)
     if img.dtype == np.uint8:
         return np.floor(out + np.float32(0.5)).astype(np.uint8)
     return out.astype(img.dtype)
@@ -134,178 +171,121 @@ def normalize_ch0(img: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Connected components — replaces cv2.findContours in the DBPostProcess
-# chain (M6, ch_ppocr_v3_det/utils.py:280-307).  Two-pass row-run
-# union-find; deterministic label order = discovery order top-to-bottom,
-# left-to-right, matching findContours' RETR_LIST discovery enumeration
-# closely enough that the max_candidates cap (O3, utils.py:286) has the
-# same "first 1000 discovered" meaning.
+# chain (M6, ch_ppocr_v3_det/utils.py:280-307) as one array program per
+# page over the bitmap's horizontal runs: run extraction, run adjacency,
+# min-label propagation.  Every component is labelled by its first run
+# in row-major order, so label order is discovery order (top-to-bottom,
+# left-to-right), the same "first max_candidates discovered" meaning
+# cv2.findContours RETR_LIST gives the O3 cap (utils.py:286).
 # ---------------------------------------------------------------------------
 
 
-def connected_components(bitmap: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """8-connected components of a boolean map -> list of bounding boxes
-    (xmin, ymin, xmax, ymax) inclusive, in discovery order."""
+def _bitmap_runs(bitmap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """bool [H, W] -> (y, x0, x1) int64 arrays of the maximal horizontal
+    runs (x1 inclusive) in row-major order.
+
+    One ``flatnonzero`` over the row transitions plus ``divmod``: a 2-D
+    ``np.nonzero`` on a page-size map costs ~8x more."""
     h, w = bitmap.shape
-    parent: list[int] = []
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-
-    # vectorized run extraction: all (row, x0, x1) runs in one pass —
-    # the python work below is proportional to the RUN count (text
-    # regions), not the pixel count
-    padded = np.zeros((h, w + 2), dtype=np.int8)
+    padded = np.zeros((h, w + 2), dtype=bool)
     padded[:, 1:-1] = bitmap
-    d = np.diff(padded, axis=1)
-    sy, sx = np.nonzero(d == 1)    # run starts, row-major order
-    ey, ex = np.nonzero(d == -1)   # run ends (exclusive), same order
-    all_runs = list(zip(sy.tolist(), sx.tolist(), (ex - 1).tolist()))
+    # transitions alternate start, end within every row: t[y, x] is set
+    # where a run starts at x or the run ending at x - 1 stops
+    t = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+    y, x0 = np.divmod(t[0::2], w + 1)
+    x1 = t[1::2] - y * (w + 1) - 1
+    return y, x0, x1
 
-    runs_with_labels: list[tuple[int, int, int, int]] = []  # (y, x0, x1, label)
-    prev_runs: list[tuple[int, int, int]] = []  # (x0, x1, label) of prev row
-    prev_y = -2
-    i = 0
-    n_runs = len(all_runs)
-    while i < n_runs:
-        y = all_runs[i][0]
-        row_runs: list[tuple[int, int, int]] = []
-        if y != prev_y + 1:
-            prev_runs = []
-        while i < n_runs and all_runs[i][0] == y:
-            _, x0, x1 = all_runs[i]
-            label = len(parent)
-            parent.append(label)
-            # 8-connectivity: overlap with [x0-1, x1+1] of previous row
-            for px0, px1, plab in prev_runs:
-                if px0 <= x1 + 1 and px1 >= x0 - 1:
-                    union(label, plab)
-            row_runs.append((x0, x1, label))
-            runs_with_labels.append((y, x0, x1, label))
-            i += 1
-        prev_runs = row_runs
-        prev_y = y
 
-    boxes: dict[int, list[int]] = {}
-    order: list[int] = []
-    for y, x0, x1, label in runs_with_labels:
-        root = find(label)
-        if root not in boxes:
-            boxes[root] = [x0, y, x1, y]
-            order.append(root)
-        else:
-            b = boxes[root]
-            b[0] = min(b[0], x0)
-            b[2] = max(b[2], x1)
-            b[3] = y  # rows are scanned top-down
-    return [tuple(boxes[r]) for r in order]
+def _label_runs(y: np.ndarray, x0: np.ndarray, x1: np.ndarray, w: int) -> np.ndarray:
+    """8-connected component of every run -> the index of the
+    component's first run (its minimum run index).
+
+    Two runs on adjacent rows touch when [x0 - 1, x1 + 1] overlaps the
+    other run; each run finds its touching runs on the previous row by
+    ``searchsorted`` over the row-major run keys ``y * (w + 2) + x``.
+    Labels are then the minimum run index per component, by hooking
+    every edge's larger root onto its smaller one and pointer jumping
+    until no edge joins two roots: roots only ever point down, so the
+    root reached is the component's minimum index."""
+    n = y.size
+    stride = w + 2  # x - 1 >= -1 and x + 1 <= w never reach a neighbour row's keys
+    lo = np.searchsorted(y * stride + x1, (y - 1) * stride + x0 - 1)
+    hi = np.searchsorted(y * stride + x0, (y - 1) * stride + x1 + 1, side="right")
+    cnt = np.maximum(hi - lo, 0)
+    a = np.repeat(np.arange(n), cnt)
+    b = np.arange(a.size) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+    root = np.arange(n)
+    while a.size:
+        ra, rb = root[a], root[b]
+        joins = ra != rb
+        if not joins.any():
+            break
+        a, b, ra, rb = a[joins], b[joins], ra[joins], rb[joins]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    return root
+
+
+def _component_rows(bitmap: np.ndarray, max_candidates: int | None = None):
+    """bool [H, W] -> (comp, y, xl, xr, n_comp): the horizontal extremes
+    of every (component, row), sorted by component (discovery order)
+    then row; only the first ``max_candidates`` components are kept.
+
+    The extremes are all the convex hull (hence minAreaRect) needs."""
+    y, x0, x1 = _bitmap_runs(bitmap)
+    root = _label_runs(y, x0, x1, bitmap.shape[1])
+    is_root = root == np.arange(root.size)
+    comp = (np.cumsum(is_root) - 1)[root]
+    n_comp = int(is_root.sum())
+    if max_candidates is not None and n_comp > max_candidates:
+        keep = comp < max_candidates
+        comp, y, x0, x1 = comp[keep], y[keep], x0[keep], x1[keep]
+        n_comp = max_candidates
+    order = np.argsort(comp, kind="stable")  # runs stay row-major per component
+    comp, y, x0, x1 = comp[order], y[order], x0[order], x1[order]
+    first = np.flatnonzero(np.diff(comp, prepend=-1) | np.diff(y, prepend=-1))
+    last = np.append(first[1:] - 1, comp.size - 1)[:first.size]
+    # a row's runs are disjoint and sorted by x: the group's first run
+    # starts leftmost and its last run ends rightmost
+    return comp[first], y[first], x0[first], x1[last], n_comp
+
+
+def _row_points(comp: np.ndarray, y: np.ndarray, xl: np.ndarray, xr: np.ndarray):
+    """Per-row extremes -> (comp, x, y) of the points (xl, y) and, where
+    the row is wider than one pixel, (xr, y), in row order."""
+    two = xr != xl
+    pos = np.arange(comp.size) + np.cumsum(two) - two
+    n = comp.size + int(two.sum())
+    pc, px, py = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, np.int64)
+    pc[pos], px[pos], py[pos] = comp, xl, y
+    pc[pos[two] + 1], px[pos[two] + 1], py[pos[two] + 1] = comp[two], xr[two], y[two]
+    return pc, px, py
 
 
 def connected_component_points(bitmap: np.ndarray) -> list[np.ndarray]:
     """8-connected components -> list of per-component point arrays
-    [(x, y), ...] (the run ENDPOINTS of every row-run — sufficient for
-    the convex hull, hence for minAreaRect), in discovery order
-    (top-to-bottom, left-to-right — the same 'first max_candidates
-    discovered' meaning cv2.findContours RETR_LIST gives the O3 cap).
-
-    Same two-pass row-run union-find as ``connected_components``; kept
-    separate because the bbox-only variant is cheaper and still serves
-    callers that need no rotated geometry."""
-    h, w = bitmap.shape
-    parent: list[int] = []
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-
-    padded = np.zeros((h, w + 2), dtype=np.int8)
-    padded[:, 1:-1] = bitmap
-    d = np.diff(padded, axis=1)
-    sy, sx = np.nonzero(d == 1)
-    ey, ex = np.nonzero(d == -1)
-    all_runs = list(zip(sy.tolist(), sx.tolist(), (ex - 1).tolist()))
-
-    runs_with_labels: list[tuple[int, int, int, int]] = []
-    prev_runs: list[tuple[int, int, int]] = []
-    prev_y = -2
-    i = 0
-    n_runs = len(all_runs)
-    while i < n_runs:
-        y = all_runs[i][0]
-        row_runs: list[tuple[int, int, int]] = []
-        if y != prev_y + 1:
-            prev_runs = []
-        while i < n_runs and all_runs[i][0] == y:
-            _, x0, x1 = all_runs[i]
-            label = len(parent)
-            parent.append(label)
-            for px0, px1, plab in prev_runs:
-                if px0 <= x1 + 1 and px1 >= x0 - 1:
-                    union(label, plab)
-            row_runs.append((x0, x1, label))
-            runs_with_labels.append((y, x0, x1, label))
-            i += 1
-        prev_runs = row_runs
-        prev_y = y
-
-    # the hull only needs each row's horizontal extremes per component:
-    # collapse multiple runs per (component, row) to (min x0, max x1)
-    rows: dict[int, dict[int, list[int]]] = {}
-    order: list[int] = []
-    for y, x0, x1, label in runs_with_labels:
-        root = find(label)
-        comp = rows.get(root)
-        if comp is None:
-            rows[root] = comp = {}
-            order.append(root)
-        ext = comp.get(y)
-        if ext is None:
-            comp[y] = [x0, x1]
-        else:
-            if x0 < ext[0]:
-                ext[0] = x0
-            if x1 > ext[1]:
-                ext[1] = x1
-    out: list[np.ndarray] = []
-    for r in order:
-        comp = rows[r]
-        pts = []
-        for y, (lo, hi) in comp.items():
-            pts.append((lo, y))
-            if hi != lo:
-                pts.append((hi, y))
-        out.append(np.array(pts, dtype=np.float64))
-    return out
+    [(x, y), ...] in discovery order: each row's leftmost run start and,
+    if different, rightmost run end — sufficient for the convex hull,
+    hence for minAreaRect.  The per-component view of the labelling
+    ``db_postprocess`` runs as one array program."""
+    comp, y, xl, xr, n_comp = _component_rows(bitmap)
+    pc, px, py = _row_points(comp, y, xl, xr)
+    pts = np.stack([px, py], axis=1).astype(np.float64)
+    return np.split(pts, np.flatnonzero(np.diff(pc)) + 1) if n_comp else []
 
 
 # ---------------------------------------------------------------------------
 # Rotated-rectangle geometry — pure-numpy replacements for
 # cv2.minAreaRect/boxPoints (get_mini_boxes, utils.py:326-345) and
-# cv2.fillPoly (box_score_fast, utils.py:347-361).
+# cv2.fillPoly (box_score_fast, utils.py:347-361).  The det path runs
+# them batched over all components of a page; the single-shape functions
+# (convex_hull, min_area_rect, unclip_rect, box_score_*) are the
+# per-shape forms of the same rules.
 # ---------------------------------------------------------------------------
 
 
@@ -314,7 +294,8 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     down makes it visually clockwise; orientation is consistent, which
     is all the calipers need).  Scalar cross products — np.cross on
     2-vectors costs ~30x in Python dispatch (profiled at 85% of det
-    wall before this)."""
+    wall before this).  Used for arbitrary point sets; component hulls
+    come batched from ``_row_hulls``."""
     pts = np.unique(points, axis=0)  # sorts lexicographically (x, then y)
     if len(pts) <= 2:
         return pts
@@ -338,6 +319,146 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1], dtype=np.float64)
 
 
+def _row_hulls(comp: np.ndarray, y: np.ndarray, xl: np.ndarray, xr: np.ndarray, n_comp: int):
+    """Convex hulls of all components from their per-row extremes ->
+    (hx, hy, start, count): every hull's vertices concatenated, each in
+    ``convex_hull``'s order (strict vertices only, starting at the
+    smallest (x, y), visually clockwise).
+
+    A component's rows are contiguous, so its hull is the convex
+    envelope of its left chain (xl per row) and of its right chain (xr
+    per row), joined by the top and bottom rows.  Each envelope comes
+    from removing, in parallel and until none is left, every interior
+    chain point that does not turn strictly outward between its current
+    neighbours: such a point is never a strict hull vertex."""
+    m = comp.size
+    x = np.concatenate([xl, xr])
+    yy = np.concatenate([y, y])
+    chain = np.concatenate([comp, comp + n_comp])  # left chains, then right chains
+    out = np.repeat(np.array([-1, 1]), m)          # outward x direction of the chain
+    while x.size > 2:
+        cross = (x[1:-1] - x[:-2]) * (yy[2:] - yy[:-2]) - (x[2:] - x[:-2]) * (yy[1:-1] - yy[:-2])
+        drop = (out[1:-1] * cross <= 0) & (chain[:-2] == chain[1:-1]) & (chain[1:-1] == chain[2:])
+        if not drop.any():
+            break
+        keep = np.concatenate([[True], ~drop, [True]])
+        x, yy, chain, out = x[keep], yy[keep], chain[keep], out[keep]
+    # each cycle: right envelope top -> bottom, then left envelope
+    # bottom -> top without the ends it shares with the right one
+    left = chain < n_comp
+    c = np.where(left, chain, chain - n_comp)
+    n_chain = np.bincount(chain, minlength=2 * n_comp)
+    first = np.cumsum(n_chain) - n_chain
+    last = first + n_chain - 1
+    lf, ll, rf, rl = first[:n_comp], last[:n_comp], first[n_comp:], last[n_comp:]
+    dup = np.zeros(x.size, dtype=bool)
+    dup[lf[x[lf] == x[rf]]] = True                 # shared top pixel
+    dup[ll[x[ll] == x[rl]]] = True                 # shared bottom pixel
+    rank = np.arange(x.size) - first[chain]
+    slot = np.where(left, 2 * x.size - rank, rank)  # right ranks, then reversed left
+    keep = np.flatnonzero(~dup)
+    keep = keep[np.lexsort((slot[keep], c[keep]))]
+    hx, hy, hc = x[keep], yy[keep], c[keep]
+    count = np.bincount(hc, minlength=n_comp)
+    start = np.cumsum(count) - count
+    # rotate every cycle to start at its smallest (x, y)
+    key = hx * (int(yy.max(initial=0)) + 1) + hy
+    lead = np.flatnonzero(key == np.minimum.reduceat(key, start)[hc]) if n_comp else start
+    pos = start[hc] + (np.arange(hx.size) - lead[hc]) % count[hc]
+    ox, oy = np.empty_like(hx), np.empty_like(hy)
+    ox[pos], oy[pos] = hx, hy
+    return ox, oy, start, count
+
+
+def _first_edge_wins(area: np.ndarray) -> np.ndarray:
+    """Row-wise index picked by the sequential caliper rule "the first
+    edge wins unless a later one is smaller by more than 1e-12"
+    (``best is None or area < best - 1e-12``).  Rows without a near tie
+    (every area equal to the minimum or above it by more than 1e-12)
+    pick their first minimum; the others replay the rule per edge
+    position across rows."""
+    m = area.min(axis=1, keepdims=True)
+    pick = area.argmin(axis=1)
+    clean = ((area == m) | (m < area - 1e-12)).all(axis=1)
+    rows = np.flatnonzero(~clean)
+    if rows.size:
+        sub = area[rows]
+        best = sub[:, 0].copy()
+        idx = np.zeros(rows.size, dtype=np.intp)
+        for i in range(1, sub.shape[1]):
+            better = sub[:, i] < best - 1e-12
+            best[better] = sub[better, i]
+            idx[better] = i
+        pick[rows] = idx
+    return pick
+
+
+def _order_mini_boxes(boxes: np.ndarray) -> np.ndarray:
+    """get_mini_boxes point ordering (utils.py:329-344) of [N, 4, 2]
+    corners: stable sort by x, then resolve each x-pair by y ->
+    [tl, tr, br, bl]."""
+    s = np.take_along_axis(boxes, np.argsort(boxes[:, :, 0], axis=1, kind="stable")[:, :, None], axis=1)
+    i1 = np.where(s[:, 1, 1] > s[:, 0, 1], 0, 1)
+    i2 = np.where(s[:, 3, 1] > s[:, 2, 1], 2, 3)
+    idx = np.stack([i1, i2, 5 - i2, 1 - i1], axis=1)
+    return np.take_along_axis(s, idx[:, :, None], axis=1)
+
+
+def _order_mini_box(box: np.ndarray) -> np.ndarray:
+    return _order_mini_boxes(np.asarray(box, dtype=np.float64)[None])[0]
+
+
+def _min_area_rects(hx: np.ndarray, hy: np.ndarray, start: np.ndarray, count: np.ndarray):
+    """Minimum-area enclosing rectangles of many hulls (each in
+    ``convex_hull`` order) by rotating calipers over every hull edge at
+    once -> (boxes [N, 4, 2] in get_mini_boxes order, sside [N]).
+
+    Per hull this is the rule of the per-edge loop it replaces: project
+    the hull on the edge direction u and its normal v, take the extents,
+    keep the first minimal area (``_first_edge_wins``).  The projections
+    are one stacked matmul of [nmax, 2] hull matrices by [2, 1] edge
+    directions: numpy runs it as one BLAS gemv per edge, the call
+    ``hull @ u`` makes, so the projections are bit-identical to it (an
+    elementwise or einsum form differs in the last bit, enough to flip
+    near-tied areas).  Short hulls are padded by repeating their last
+    vertex, which leaves every extent unchanged.  Hulls of one or two
+    points give the degenerate boxes [p, p, p, p] / [p, q, q, p] with
+    sside 0."""
+    n = count.size
+    boxes = np.zeros((n, 4, 2), dtype=np.float64)
+    sside = np.zeros(n, dtype=np.float64)
+    pts = np.stack([hx, hy], axis=1).astype(np.float64)
+    flat = count <= 2
+    if flat.any():
+        p = pts[start[flat]]
+        q = pts[start[flat] + count[flat] - 1]
+        boxes[flat] = np.stack([p, q, q, p], axis=1)
+    big = np.flatnonzero(~flat)
+    if big.size:
+        cnt = count[big][:, None]
+        nmax = int(cnt.max())
+        i = np.arange(nmax)[None, :]
+        hull = pts[start[big][:, None] + np.minimum(i, cnt - 1)]        # [B, nmax, 2]
+        e = hull[np.arange(big.size)[:, None], (i + 1) % cnt] - hull    # edge i of every hull
+        norm = np.hypot(e[..., 0], e[..., 1])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            u = e / norm[..., None]
+        v = np.stack([-u[..., 1], u[..., 0]], axis=-1)
+        pu = (hull[:, None] @ u[..., None])[..., 0]                     # [B, edge, vertex]
+        pv = (hull[:, None] @ v[..., None])[..., 0]
+        u0, v0 = pu.min(axis=2), pv.min(axis=2)
+        w = pu.max(axis=2) - u0
+        h = pv.max(axis=2) - v0
+        area = np.where(i < cnt, w * h, np.inf)
+        k = _first_edge_wins(area)
+        r = np.arange(big.size)
+        u, v, u0, v0, w, h = u[r, k], v[r, k], u0[r, k, None], v0[r, k, None], w[r, k, None], h[r, k, None]
+        c00 = u * u0 + v * v0
+        boxes[big] = np.stack([c00, c00 + u * w, c00 + u * w + v * h, c00 + v * h], axis=1)
+        sside[big] = np.minimum(w, h)[:, 0]
+    return _order_mini_boxes(boxes), sside
+
+
 def min_area_rect(points: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-area enclosing rectangle (rotating calipers over the
     convex hull) -> (4 corner points ordered by the reference's
@@ -347,49 +468,10 @@ def min_area_rect(points: np.ndarray) -> tuple[np.ndarray, float]:
     get_mini_boxes (utils.py:326-345); deterministic ties (first
     minimal hull edge wins)."""
     hull = convex_hull(np.asarray(points, dtype=np.float64))
-    if len(hull) == 1:
-        p = hull[0]
-        box = np.array([p, p, p, p])
-        return _order_mini_box(box), 0.0
-    if len(hull) == 2:
-        p, q = hull
-        box = np.array([p, q, q, p])
-        return _order_mini_box(box), 0.0
-    best = None
-    n = len(hull)
-    for i in range(n):
-        e = hull[(i + 1) % n] - hull[i]
-        norm = np.hypot(e[0], e[1])
-        if norm == 0:
-            continue
-        u = e / norm
-        v = np.array([-u[1], u[0]])
-        pu = hull @ u
-        pv = hull @ v
-        w = pu.max() - pu.min()
-        h = pv.max() - pv.min()
-        area = w * h
-        if best is None or area < best[0] - 1e-12:
-            best = (area, u, v, pu.min(), pv.min(), w, h)
-    _, u, v, u0, v0, w, h = best
-    c00 = u * u0 + v * v0
-    box = np.array([c00, c00 + u * w, c00 + u * w + v * h, c00 + v * h])
-    return _order_mini_box(box), float(min(w, h))
-
-
-def _order_mini_box(box: np.ndarray) -> np.ndarray:
-    """get_mini_boxes point ordering (utils.py:329-344): sort the 4
-    corners by x, then resolve each x-pair by y -> [tl, tr, br, bl]."""
-    pts = sorted(box.tolist(), key=lambda p: p[0])
-    if pts[1][1] > pts[0][1]:
-        i1, i4 = 0, 1
-    else:
-        i1, i4 = 1, 0
-    if pts[3][1] > pts[2][1]:
-        i2, i3 = 2, 3
-    else:
-        i2, i3 = 3, 2
-    return np.array([pts[i1], pts[i2], pts[i3], pts[i4]], dtype=np.float64)
+    box, sside = _min_area_rects(
+        hull[:, 0], hull[:, 1], np.zeros(1, dtype=np.int64), np.array([len(hull)])
+    )
+    return box[0], float(sside[0])
 
 
 def fill_poly_mask(shape: tuple[int, int], quad: np.ndarray) -> np.ndarray:
@@ -469,33 +551,126 @@ def box_score_slow(pred: np.ndarray, contour: np.ndarray) -> float:
     return float(window[mask].mean())
 
 
+def _convex_polygon_means(pred: np.ndarray, px: np.ndarray, py: np.ndarray, start: np.ndarray, count: np.ndarray):
+    """Mean of ``pred`` over the box_score_fast/slow mask of many
+    polygons at once -> float64 [P]; NaN for a polygon that is not
+    strictly convex after flooring.
+
+    Each polygon is windowed and floored as the per-shape scorers do.
+    For a strictly convex polygon with integer vertices the mask
+    ``fill_poly_mask`` fills (even-odd interior of the half-open row
+    crossings plus every lattice point on an edge) is, on every row r,
+    exactly the integers in [L(r), R(r)], the polygon's extent on that
+    row: so per (polygon, row) it is the closed interval
+    [min ceil(x), max floor(x)] over the non-horizontal edges touching
+    the row (integer arithmetic), summed from row prefix sums of the
+    rows any interval touches.  Sums are float64, so a mean differs
+    from the per-shape scorer's float32 mean in the last bits only."""
+    h, w = pred.shape
+    n = count.size
+    p_of = np.repeat(np.arange(n), count)
+    xmin = np.clip(np.floor(np.minimum.reduceat(px, start)), 0, w - 1).astype(np.int64)
+    xmax = np.clip(np.ceil(np.maximum.reduceat(px, start)), 0, w - 1).astype(np.int64)
+    ymin = np.clip(np.floor(np.minimum.reduceat(py, start)), 0, h - 1).astype(np.int64)
+    ymax = np.clip(np.ceil(np.maximum.reduceat(py, start)), 0, h - 1).astype(np.int64)
+    x1 = np.floor(px - xmin[p_of]).astype(np.int64)
+    y1 = np.floor(py - ymin[p_of]).astype(np.int64)
+    nxt = np.arange(px.size) + 1
+    wrap = nxt == (start + count)[p_of]
+    nxt[wrap] = start[p_of[wrap]]
+    dx, dy = x1[nxt] - x1, y1[nxt] - y1
+    turn = dx * dy[nxt] - dy * dx[nxt]
+    n_pos = np.bincount(p_of, weights=turn > 0, minlength=n)
+    n_neg = np.bincount(p_of, weights=turn < 0, minlength=n)
+    convex = (count >= 3) & ((n_pos == count) | (n_neg == count))
+    # (polygon, window row) slots: rows top..bottom of each polygon
+    top = np.minimum.reduceat(y1, start)
+    n_rows = np.maximum.reduceat(y1, start) - top + 1
+    slot0 = np.cumsum(n_rows) - n_rows
+    # every non-horizontal edge touches rows min(y)..max(y), both ends included
+    r_lo = np.minimum(y1, y1 + dy)
+    n_r = np.where((dy != 0) & convex[p_of], np.abs(dy) + 1, 0)
+    e = np.repeat(np.arange(px.size), n_r)
+    r = np.arange(e.size) + np.repeat(r_lo - (np.cumsum(n_r) - n_r), n_r)
+    num = (r - y1[e]) * dx[e] * np.sign(dy[e])
+    den = np.abs(dy[e])
+    slot = slot0[p_of[e]] + r - top[p_of[e]]
+    lo = np.full(int(n_rows.sum()), np.iinfo(np.int64).max)
+    hi = np.full(lo.size, np.iinfo(np.int64).min)
+    np.minimum.at(lo, slot, x1[e] - (-num // den))    # ceil
+    np.maximum.at(hi, slot, x1[e] + num // den)       # floor
+    sp = np.repeat(np.arange(n), n_rows)
+    row = np.arange(lo.size) - slot0[sp] + top[sp]
+    ok = (row >= 0) & (row <= ymax[sp] - ymin[sp]) & convex[sp]
+    lo = np.maximum(lo, 0)
+    hi = np.minimum(hi, xmax[sp] - xmin[sp])
+    ok &= hi >= lo
+    sp, row, lo, hi = sp[ok], row[ok] + ymin[sp[ok]], lo[ok] + xmin[sp[ok]], hi[ok] + xmin[sp[ok]]
+    # prefix sums over the touched page rows only
+    touched = np.zeros(h, dtype=bool)
+    touched[row] = True
+    rows = np.flatnonzero(touched)
+    csum = np.zeros((rows.size, w + 1))
+    np.cumsum(pred[rows], axis=1, dtype=np.float64, out=csum[:, 1:])
+    ri = np.searchsorted(rows, row)
+    sums = np.bincount(sp, weights=csum[ri, hi + 1] - csum[ri, lo], minlength=n)
+    cnts = np.bincount(sp, weights=hi - lo + 1, minlength=n)
+    means = np.where(cnts > 0, sums / np.maximum(cnts, 1), 0.0)
+    return np.where(convex, means, np.nan)
+
+
+def _unclip_rects(boxes: np.ndarray, unclip_ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """``unclip_rect`` over [N, 4, 2] ordered boxes -> (grown boxes in
+    get_mini_boxes order, sside after growth).  A box with a zero side
+    is returned unchanged with sside 0."""
+    e1 = boxes[:, 1] - boxes[:, 0]
+    e3 = boxes[:, 3] - boxes[:, 0]
+    w = np.hypot(e1[:, 0], e1[:, 1])[:, None]
+    h = np.hypot(e3[:, 0], e3[:, 1])[:, None]
+    flat = (w == 0) | (h == 0)
+    w1, h1 = np.where(flat, 1.0, w), np.where(flat, 1.0, h)
+    d = w1 * h1 * unclip_ratio / (2.0 * (w1 + h1))
+    u = e1 / w1
+    v = e3 / h1
+    grown = np.stack(
+        [
+            boxes[:, 0] - u * d - v * d,
+            boxes[:, 1] + u * d - v * d,
+            boxes[:, 2] + u * d + v * d,
+            boxes[:, 3] - u * d + v * d,
+        ],
+        axis=1,
+    )
+    out = np.where(flat[:, :, None], boxes, _order_mini_boxes(grown))
+    return out, np.where(flat, 0.0, np.minimum(w1, h1) + 2 * d)[:, 0]
+
+
 def unclip_rect(box: np.ndarray, unclip_ratio: float) -> tuple[np.ndarray, float]:
     """The reference unclips the minAreaRect quad with a pyclipper
     JT_ROUND offset by d = area*ratio/perimeter, then takes
     minAreaRect again (utils.py:317-324, 305-306).  For a rectangle the
     round offset is the Minkowski sum with a d-disk, whose minimum-area
     rectangle is the SAME rectangle grown by d on every side — so the
-    analytic expansion below is exactly the composition the reference
+    analytic expansion is exactly the composition the reference
     computes, without pyclipper."""
-    b = np.asarray(box, dtype=np.float64)
-    w = float(np.hypot(*(b[1] - b[0])))
-    h = float(np.hypot(*(b[3] - b[0])))
-    if w == 0 or h == 0:
-        return b.copy(), 0.0
-    area = w * h
-    perimeter = 2.0 * (w + h)
-    d = area * unclip_ratio / perimeter
-    u = (b[1] - b[0]) / w
-    v = (b[3] - b[0]) / h
-    out = np.array(
-        [
-            b[0] - u * d - v * d,
-            b[1] + u * d - v * d,
-            b[2] + u * d + v * d,
-            b[3] - u * d + v * d,
-        ]
-    )
-    return _order_mini_box(out), float(min(w, h) + 2 * d)
+    out, sside = _unclip_rects(np.asarray(box, dtype=np.float64)[None], unclip_ratio)
+    return out[0], float(sside[0])
+
+
+def _contour_polygons(comp, y, xl, xr, hx, hy, hcount, cand):
+    """box_score_slow's polygon of every candidate component, as
+    (x, y, count): its hull, or its raw row points when the hull has
+    fewer than 3 vertices."""
+    hc = np.repeat(np.arange(hcount.size), hcount)
+    pc, px, py = _row_points(comp, y, xl, xr)
+    hull_ok = hcount >= 3
+    vc = np.concatenate([hc[hull_ok[hc]], pc[~hull_ok[pc]]])
+    order = np.argsort(vc, kind="stable")
+    vc = vc[order]
+    vx = np.concatenate([hx[hull_ok[hc]], px[~hull_ok[pc]]])[order]
+    vy = np.concatenate([hy[hull_ok[hc]], py[~hull_ok[pc]]])[order]
+    sel = np.isin(vc, cand)
+    return vx[sel], vy[sel], np.bincount(vc[sel], minlength=hcount.size)[cand]
 
 
 def dilate2x2(bitmap: np.ndarray) -> np.ndarray:
@@ -513,8 +688,15 @@ def dilate2x2(bitmap: np.ndarray) -> np.ndarray:
 # prob map -> bitmap -> components -> minAreaRect (rotated quads) ->
 # fast polygon score -> analytic JT_ROUND unclip -> minAreaRect ->
 # rescale.  Faithful flow of boxes_from_bitmap (utils.py:269-316) with
-# the cv2/pyclipper calls replaced by the pure-numpy geometry above.
+# the cv2/pyclipper calls replaced by the pure-numpy geometry above,
+# each step one array program over all components of the page.
 # ---------------------------------------------------------------------------
+
+# A box whose float64 score lies this close to box_thresh is re-scored by
+# the float32 per-shape scorer, so the keep/drop decision is the one the
+# reference's float32 window mean makes.  Over a probability map in
+# [0, 1] the float32 mean is off by at most ~rows * 2**-24 < 1e-3.
+SCORE_TIE_MARGIN = 1e-3
 
 
 def db_postprocess(
@@ -538,31 +720,37 @@ def db_postprocess(
     bitmap = pred > thresh
     if use_dilation:
         bitmap = dilate2x2(bitmap)
-    comps = connected_component_points(bitmap)[:max_candidates]  # O3 cap
-    out_boxes: list[np.ndarray] = []
-    out_scores: list[float] = []
-    for pts in comps:
-        points, sside = min_area_rect(pts)
-        if sside < min_box_side:  # mini-box drop (utils.py:292-294)
-            continue
+    comp, y, xl, xr, n_comp = _component_rows(bitmap, max_candidates)  # O3 cap
+    hx, hy, hstart, hcount = _row_hulls(comp, y, xl, xr, n_comp)
+    boxes, sside = _min_area_rects(hx, hy, hstart, hcount)
+    cand = np.flatnonzero(sside >= min_box_side)  # mini-box drop (utils.py:292-294)
+    if score_mode == "slow":  # A3 slow (utils.py:300): the contour polygon
+        polx, poly, pcount = _contour_polygons(comp, y, xl, xr, hx, hy, hcount, cand)
+    else:  # A3 fast (utils.py:296-299): the minAreaRect quad
+        polx = boxes[cand, :, 0].reshape(-1)
+        poly = boxes[cand, :, 1].reshape(-1)
+        pcount = np.full(cand.size, 4)
+    scores = np.zeros(0)
+    if cand.size:
+        scores = _convex_polygon_means(pred, polx, poly, np.cumsum(pcount) - pcount, pcount)
+    for j in np.flatnonzero(~(np.abs(scores - box_thresh) > SCORE_TIE_MARGIN)):
+        # rare: a polygon floored out of strict convexity, or a score
+        # near the threshold — the per-shape float32 scorer decides
         if score_mode == "slow":
-            score = box_score_slow(pred, pts)  # A3 slow (utils.py:300)
+            rows = comp == cand[j]
+            _, px, py = _row_points(comp[rows], y[rows], xl[rows], xr[rows])
+            scores[j] = box_score_slow(pred, np.stack([px, py], axis=1).astype(np.float64))
         else:
-            score = box_score_fast(pred, points)  # A3 (utils.py:296-299)
-        if score < box_thresh:
-            continue
-        box, esside = unclip_rect(points, unclip_ratio)  # utils.py:302-306
-        if esside < min_box_side + 2:
-            continue
-        # rescale to source frame + clip (utils.py:308-313)
-        box = box.copy()
-        box[:, 0] = np.clip(np.round(box[:, 0] / ratio_w), 0, src_w)
-        box[:, 1] = np.clip(np.round(box[:, 1] / ratio_h), 0, src_h)
-        out_boxes.append(box.astype(np.int32))
-        out_scores.append(score)
-    if not out_boxes:
-        return np.zeros((0, 4, 2), dtype=np.int32), []
-    return np.stack(out_boxes), out_scores
+            scores[j] = box_score_fast(pred, boxes[cand[j]])
+    keep = scores >= box_thresh
+    cand, scores = cand[keep], scores[keep]
+    grown, esside = _unclip_rects(boxes[cand], unclip_ratio)  # utils.py:302-306
+    keep = esside >= min_box_side + 2
+    grown, scores = grown[keep], scores[keep]
+    # rescale to source frame + clip (utils.py:308-313)
+    grown[:, :, 0] = np.clip(np.round(grown[:, :, 0] / ratio_w), 0, src_w)
+    grown[:, :, 1] = np.clip(np.round(grown[:, :, 1] / ratio_h), 0, src_h)
+    return grown.astype(np.int32), scores.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -571,12 +759,18 @@ def db_postprocess(
 # ---------------------------------------------------------------------------
 
 
+def _order_clockwise(boxes: np.ndarray) -> np.ndarray:
+    """order_points_clockwise over [N, 4, 2] boxes (stable sorts, as
+    np.argsort sorts four elements)."""
+    s = np.take_along_axis(boxes, np.argsort(boxes[:, :, 0], axis=1, kind="stable")[:, :, None], axis=1)
+    lswap = s[:, 1, 1] < s[:, 0, 1]
+    rswap = s[:, 3, 1] < s[:, 2, 1]
+    idx = np.stack([lswap, 2 + rswap, 3 - rswap, 1 - lswap], axis=1).astype(np.intp)
+    return np.take_along_axis(s, idx[:, :, None], axis=1)
+
+
 def order_points_clockwise(pts: np.ndarray) -> np.ndarray:
-    xs = pts[np.argsort(pts[:, 0])]
-    left, right = xs[:2], xs[2:]
-    left = left[np.argsort(left[:, 1])]      # tl, bl
-    right = right[np.argsort(right[:, 1])]   # tr, br
-    return np.array([left[0], right[0], right[1], left[1]], dtype=pts.dtype)
+    return _order_clockwise(np.asarray(pts)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -586,19 +780,14 @@ def order_points_clockwise(pts: np.ndarray) -> np.ndarray:
 
 
 def filter_det_boxes(boxes: np.ndarray, src_h: int, src_w: int) -> np.ndarray:
-    kept = []
-    for box in boxes:
-        b = order_points_clockwise(box.astype(np.float64))
-        b[:, 0] = np.clip(b[:, 0], 0, src_w - 1)
-        b[:, 1] = np.clip(b[:, 1], 0, src_h - 1)
-        rect_w = int(np.linalg.norm(b[0] - b[1]))
-        rect_h = int(np.linalg.norm(b[0] - b[3]))
-        if rect_w <= 3 or rect_h <= 3:
-            continue
-        kept.append(b.astype(np.int32))
-    if not kept:
-        return np.zeros((0, 4, 2), dtype=np.int32)
-    return np.stack(kept)
+    b = _order_clockwise(np.asarray(boxes, dtype=np.float64).reshape(-1, 4, 2))
+    b[:, :, 0] = np.clip(b[:, :, 0], 0, src_w - 1)
+    b[:, :, 1] = np.clip(b[:, :, 1], 0, src_h - 1)
+    # integer corners: the squared side lengths are exact, so the
+    # truncated sqrt is the reference's int(np.linalg.norm(...))
+    rect_w = np.sqrt(((b[:, 0] - b[:, 1]) ** 2).sum(axis=1)).astype(np.int64)
+    rect_h = np.sqrt(((b[:, 0] - b[:, 3]) ** 2).sum(axis=1)).astype(np.int64)
+    return b[(rect_w > 3) & (rect_h > 3)].astype(np.int32)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from rapidocr_ray.functions.ctc import ctc_greedy_decode
 from rapidocr_ray.functions.imgproc import (
     db_postprocess,
     det_resize,
+    det_resize_ink,
     filter_det_boxes,
     normalize_ch0,
     normalize_chw,
@@ -40,15 +41,20 @@ class TextDetector:
     def __call__(self, img: np.ndarray, lang: str = "en") -> np.ndarray:
         """gray uint8 [H, W] -> boxes int32 [N, 4, 2] (source frame)."""
         c = self.cfg
+        model = self.registry.for_lang("det", lang)
+        fast = getattr(model, "infer_ink", None) is not None
         try:
-            resized, shape_info = det_resize(img, c.limit_side_len, c.limit_type)
+            if fast:
+                # fast entry: threshold inside the resize (det_resize_ink)
+                ink, shape_info = det_resize_ink(img, c.limit_side_len, c.limit_type)
+            else:
+                resized, shape_info = det_resize(img, c.limit_side_len, c.limit_type)
         except ValueError:
             return np.zeros((0, 4, 2), dtype=np.int32)
-        model = self.registry.for_lang("det", lang)
-        if getattr(model, "infer_ink", None) is not None:
-            # fast entry: skip the normalize/invert float32 round trip
-            # (bit-identical — DetModel.infer_ink docstring)
-            pred = model.infer_ink(resized >= 128)
+        if fast:
+            # skip the normalize/invert float32 round trip (bit-identical
+            # — DetModel.infer_ink docstring)
+            pred = model.infer_ink(ink)
         else:  # contract path: NCHW batch of 1 (text_detect.py:72);
             # channel dim broadcast — the kernel reads channel 0 only
             ch0 = normalize_ch0(resized)
@@ -114,16 +120,22 @@ class TextClassifier:
         ratios = [im.shape[1] / float(im.shape[0]) for im in img_list]
         indices = np.argsort(np.array(ratios))
         model = self.registry.for_lang("cls", lang)
+        fast = getattr(model, "infer_crops", None) is not None
         for beg in range(0, n, c.cls_batch_num):
             batch_idx = indices[beg:beg + c.cls_batch_num]
-            tensors = np.stack([
-                cls_resize_norm(img_list[i], c.cls_image_shape) for i in batch_idx
-            ])
-            probs = model.infer(tensors)  # [B, 2]
+            if fast:
+                # fast entry: one batched M10 resize per micro-batch
+                # (bit-identical — ClsModel.infer_crops docstring)
+                probs = model.infer_crops([img_list[i] for i in batch_idx], c.cls_image_shape)
+            else:  # contract path: M10 NCHW tensors
+                tensors = np.stack([
+                    cls_resize_norm(img_list[i], c.cls_image_shape) for i in batch_idx
+                ])
+                probs = model.infer(tensors)  # [B, 2]
             # M11 ClsPostProcess (ch_ppocr_v2_cls/utils.py:14-29)
+            best = probs.argmax(axis=1)
             for rno, i in enumerate(batch_idx):
-                idx = int(probs[rno].argmax())
-                results[i] = (c.label_list[idx], float(probs[rno][idx]))
+                results[i] = (c.label_list[best[rno]], float(probs[rno, best[rno]]))
         return results
 
 

@@ -85,7 +85,11 @@ def test_connected_components_basic():
     m[1:3, 1:4] = True
     m[6:9, 5:8] = True
     m[5, 4] = True  # 8-connected diagonally to the second blob
-    boxes = ip.connected_components(m)
+    comps = ip.connected_component_points(m)
+    boxes = [
+        (int(p[:, 0].min()), int(p[:, 1].min()), int(p[:, 0].max()), int(p[:, 1].max()))
+        for p in comps
+    ]
     assert len(boxes) == 2
     assert boxes[0] == (1, 1, 3, 2)
     assert boxes[1] == (4, 5, 7, 8)
