@@ -1,9 +1,12 @@
 """Image-processing kernels for the cascade path — faithful, from-scratch
 implementations of the reference's pre/post-processing rules (SURVEY.md
 §2.2).  Pure numpy; no cv2/pyclipper in this environment, so contour
-machinery is an exact-semantics replacement (connected components +
-axis-aligned min boxes) with the same thresholds, filters, rounding and
-ordering rules.  All functions are deterministic and shared verbatim by
+machinery is an exact-semantics replacement (connected components ->
+convex hulls -> rotated minimum-area quads) with the same thresholds,
+filters, rounding and ordering rules.  Det post-processing runs as one
+array program per page: labelling, hulls, calipers, scoring, unclip
+and filtering each cover every component of the page in a fixed set of
+numpy calls.  All functions are deterministic and shared verbatim by
 the Ray stages and the single-process oracle.
 """
 
@@ -78,13 +81,19 @@ def resize_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return img[rows][:, cols]
 
 
-def bilinear_taps(src_n: int, out_n: int, dtype=np.float32):
+def bilinear_taps(src_n, out_n, dtype=np.float32):
     """cv2.INTER_LINEAR taps along one axis: half-pixel centres
     (src = (dst + 0.5) * scale - 0.5), edge clamp -> (i0, i1, weight of
-    i1) per output index."""
-    s = (np.arange(out_n) + 0.5) * (src_n / out_n) - 0.5
-    i0 = np.clip(np.floor(s), 0, src_n - 1).astype(np.int64)
-    i1 = np.minimum(i0 + 1, src_n - 1)
+    i1) per output index.  ``src_n`` and ``out_n`` may also be
+    equal-length int arrays: the taps of several 1-D resizes laid end to
+    end, each indexing its own source."""
+    src_n, out_n = np.atleast_1d(src_n), np.atleast_1d(out_n)
+    seg = np.repeat(np.arange(out_n.size), out_n)
+    j = np.arange(seg.size) - (np.cumsum(out_n) - out_n)[seg]
+    src = src_n[seg]
+    s = (j + 0.5) * (src_n / out_n)[seg] - 0.5
+    i0 = np.clip(np.floor(s), 0, src - 1).astype(np.int64)
+    i1 = np.minimum(i0 + 1, src - 1)
     return i0, i1, np.clip(s - i0, 0.0, 1.0).astype(dtype)
 
 
@@ -402,10 +411,6 @@ def _order_mini_boxes(boxes: np.ndarray) -> np.ndarray:
     i2 = np.where(s[:, 3, 1] > s[:, 2, 1], 2, 3)
     idx = np.stack([i1, i2, 5 - i2, 1 - i1], axis=1)
     return np.take_along_axis(s, idx[:, :, None], axis=1)
-
-
-def _order_mini_box(box: np.ndarray) -> np.ndarray:
-    return _order_mini_boxes(np.asarray(box, dtype=np.float64)[None])[0]
 
 
 def _min_area_rects(hx: np.ndarray, hy: np.ndarray, start: np.ndarray, count: np.ndarray):

@@ -5525,9 +5525,9 @@ def q_temperature_resample(sf_dir: str):
 SQL_TEMPERATURE_RESAMPLE = """
 WITH c AS (SELECT lang, CAST(COUNT(*) AS BIGINT) AS n FROM documents GROUP BY lang),
 w AS (SELECT lang, n,
-             CAST(floor(sqrt(CAST(n AS DOUBLE)) * 1000000) AS BIGINT) AS w_micro
+             CAST(floor(sqrt(CAST(n AS DOUBLE)) * 1000000) AS HUGEINT) AS w_micro
       FROM c),
-t AS (SELECT CAST(SUM(w_micro) AS BIGINT) AS tot_w,
+t AS (SELECT CAST(SUM(w_micro) AS HUGEINT) AS tot_w,
              CAST(SUM(n) AS BIGINT) AS total_n FROM w),
 r AS (SELECT lang,
              LEAST(1000000,
@@ -5908,6 +5908,32 @@ def _tdiv(s: int, n: int) -> int:
     return q if s >= 0 else -q
 
 
+def _kmeans_quant(batch: pa.Table, scale: int, dim: int) -> np.ndarray:
+    """Embedding column -> int64 micros [rows, dim]; an empty batch
+    gives (0, dim) (stack_list_column returns (0, 0) for it)."""
+    if batch.num_rows == 0:
+        return np.zeros((0, dim), dtype=np.int64)
+    # stack_list_column imported at module top: a function-local
+    # `from rapidocr_ray...` import inside a WORKER closure breaks
+    # under by-value module shipping (the verify-skill gotcha)
+    return np.floor(
+        stack_list_column(batch.column("embedding"), dtype=np.float64) * scale
+    ).astype(np.int64)
+
+
+def _kmeans_assign(emb: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid (exact int64 L2, lowest id on ties) and its
+    distance per row; empty for zero rows."""
+    if len(emb) == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    dists = np.empty((len(emb), len(c)), dtype=np.int64)
+    for j in range(len(c)):
+        d = emb - c[j]
+        dists[:, j] = np.einsum("ij,ij->i", d, d)
+    best = np.argmin(dists, axis=1)  # first min = lowest-id tiebreak
+    return best, dists[np.arange(len(emb)), best]
+
+
 def q_kmeans_int_iters(sf_dir: str, k: int = 4, n_iter: int = 3, scale: int = 1_000_000):
     """Distributed Lloyd's k-means, bit-pinned end to end — the
     iterative ML-training sibling of bpe_train_merges: embeddings
@@ -5930,28 +5956,12 @@ def q_kmeans_int_iters(sf_dir: str, k: int = 4, n_iter: int = 3, scale: int = 1_
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"]).materialize()
     dim = cent.shape[1]
 
-    def quant(batch: pa.Table) -> np.ndarray:
-        # stack_list_column imported at module top: a function-local
-        # `from rapidocr_ray...` import inside a WORKER closure breaks
-        # under by-value module shipping (the verify-skill gotcha)
-        return np.floor(
-            stack_list_column(batch.column("embedding"), dtype=np.float64) * scale
-        ).astype(np.int64)
-
-    def assign(emb: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dists = np.empty((len(emb), len(c)), dtype=np.int64)
-        for j in range(len(c)):
-            d = emb - c[j]
-            dists[:, j] = np.einsum("ij,ij->i", d, d)
-        best = np.argmin(dists, axis=1)  # first min = lowest-id tiebreak
-        return best, dists[np.arange(len(emb)), best]
-
     for _ in range(n_iter - 1):
         c_now = cent.copy()
 
         def partials(batch: pa.Table, _c=c_now) -> pa.Table:
-            emb = quant(batch)
-            best, _ = assign(emb, _c)
+            emb = _kmeans_quant(batch, scale, dim)
+            best, _ = _kmeans_assign(emb, _c)
             rows = []
             for j in range(len(_c)):
                 sel = emb[best == j]
@@ -5981,8 +5991,8 @@ def q_kmeans_int_iters(sf_dir: str, k: int = 4, n_iter: int = 3, scale: int = 1_
     c_final = cent
 
     def final_assign(batch: pa.Table) -> pa.Table:
-        emb = quant(batch)
-        best, dist = assign(emb, c_final)
+        emb = _kmeans_quant(batch, scale, dim)
+        best, dist = _kmeans_assign(emb, c_final)
         return pa.table(
             {
                 "vec_id": batch.column("vec_id"),

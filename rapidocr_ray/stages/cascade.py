@@ -91,7 +91,13 @@ def cls_resize_norm(img: np.ndarray, shape: tuple = (3, 48, 192)) -> np.ndarray:
 
 class TextClassifier:
     """M10-M12 + M16: width-sort, micro-batch, resize/norm, argmax over
-    ('0','180'), conditional 180-degree rotate, scatter-back."""
+    ('0','180'), conditional 180-degree rotate, scatter-back.
+
+    A session with the ``infer_crops`` fast entry gets each micro-batch
+    as uint8 crops and resizes it in one batched pass; the others get
+    the M10 NCHW tensors.  Both give bit-identical probabilities
+    (ClsModel.infer_crops docstring), so labels and scores do not
+    depend on the backend."""
 
     def __init__(self, cfg: ClsConfig, registry: ModelRegistry | None = None):
         self.cfg = cfg

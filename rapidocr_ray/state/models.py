@@ -207,7 +207,12 @@ def _ink_to_pred(ink: np.ndarray) -> np.ndarray:
 
 
 class DetModel:
-    """DBNet stand-in: NCHW float32 -> prob maps [N, 1, H, W]."""
+    """DBNet stand-in: NCHW float32 -> prob maps [N, 1, H, W].
+
+    ``infer(normalize(resized))`` is the tensor contract; ``infer_ink``
+    is the fast entry on the boolean ink map that
+    ``imgproc.det_resize_ink`` takes straight from the resize, and the
+    two give bit-identical maps (see ``infer_ink``)."""
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         n, _, h, w = x.shape
@@ -307,16 +312,11 @@ class ClsModel:
             block += np.multiply(canvas[y1], wy, dtype=np.float32)
         # column pass: per-crop taps over the shared canvas
         start = np.cumsum(rw) - rw
-        crop = np.repeat(np.arange(n), rw)
-        j = np.arange(int(rw.sum())) - start[crop]
-        src_w = ws[crop]
-        s = (j + 0.5) * (ws / rw)[crop] - 0.5
-        x0 = np.clip(np.floor(s), 0, src_w - 1).astype(np.int64)
-        x1 = np.minimum(x0 + 1, src_w - 1)
-        wx = np.clip(s - x0, 0.0, 1.0).astype(np.float32)
-        v = rows[:, col0[crop] + x0]
+        x0, x1, wx = bilinear_taps(ws, rw)
+        off = np.repeat(col0, rw)
+        v = rows[:, off + x0]
         v *= 1 - wx
-        right = rows[:, col0[crop] + x1]
+        right = rows[:, off + x1]
         right *= wx
         v += right
         v += np.float32(0.5)

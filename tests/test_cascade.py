@@ -235,15 +235,18 @@ class TestOracleE2E:
 def test_backend_swap_identical_outputs():
     """T2 backend strategy: the 'contract' backend (tensor-interface-only
     sessions, state/models.py BACKENDS) must produce byte-identical
-    cascade results to the default 'kernel' backend on a full page."""
+    cascade results to the default 'kernel' backend on full pages —
+    det boxes, cls labels and scores, rec output — upright and rotated
+    180 degrees (where cls must flip every crop)."""
     from rapidocr_ray.config import PipelineConfig
     from rapidocr_ray.functions.imgproc import crop_box, sorted_boxes
     from rapidocr_ray.glyphs import render_page
     from rapidocr_ray.state.models import ModelRegistry
     from rapidocr_ray.stages.cascade import TextClassifier, TextDetector, TextRecognizer
 
-    page = render_page(["backend parity line one", "and a second line"],
-                       margin=28, line_gap=32)
+    lines = ["backend parity line one", "and a second line"]
+    pages = [render_page(lines, margin=28, line_gap=32),
+             render_page(lines, margin=28, line_gap=32, rotate180=True)]
     results = {}
     for backend in ("kernel", "contract"):
         cfg = PipelineConfig()
@@ -251,11 +254,18 @@ def test_backend_swap_identical_outputs():
         det = TextDetector(cfg.Det, reg)
         cls = TextClassifier(cfg.Cls, reg)
         rec = TextRecognizer(cfg.Rec, reg)
-        boxes = sorted_boxes(det(page))
-        crops = [crop_box(page, np.asarray(b)) for b in boxes]
-        crops, _ = cls(crops)
-        results[backend] = ([b.tolist() for b in boxes], rec(crops))
+        out = []
+        for page in pages:
+            boxes = sorted_boxes(det(page))
+            crops = [crop_box(page, np.asarray(b)) for b in boxes]
+            crops, labels = cls(crops)
+            out.append(([b.tolist() for b in boxes], labels, rec(crops)))
+        results[backend] = out
     assert results["kernel"] == results["contract"]
+    upright, flipped = results["kernel"]
+    assert {label for label, _ in upright[1]} == {"0"}
+    assert {label for label, _ in flipped[1]} == {"180"}
+    assert [t for t, _ in flipped[2]] == lines[::-1]
 
 
 def test_backend_unknown_rejected():

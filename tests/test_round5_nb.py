@@ -393,3 +393,21 @@ def test_bpe_apply_merges_property_vs_scalar():
         want_flat = [t for d in want_docs for t in d]
         assert got_flat.tolist() == want_flat, (trial, docs, merges)
         assert got_lens.tolist() == [len(d) for d in want_docs]
+
+
+def test_kmeans_helpers_handle_empty_batches():
+    """An empty pyarrow batch quantizes to (0, dim) and assigns to zero
+    rows instead of failing to broadcast against the centroids."""
+    empty = pa.table({"vec_id": pa.array([], type=pa.int64()),
+                      "embedding": pa.array([], type=pa.list_(pa.float32()))})
+    emb = q._kmeans_quant(empty, 1_000_000, 3)
+    assert emb.shape == (0, 3) and emb.dtype == np.int64
+    best, dist = q._kmeans_assign(emb, np.zeros((4, 3), dtype=np.int64))
+    assert best.shape == dist.shape == (0,)
+    one = pa.table({"vec_id": pa.array([7], type=pa.int64()),
+                    "embedding": pa.array([[0.5, -0.25, 0.0]], type=pa.list_(pa.float32()))})
+    emb = q._kmeans_quant(one, 1_000_000, 3)
+    assert emb.tolist() == [[500000, -250000, 0]]
+    # equidistant from centroids 0 and 1: the lowest id wins
+    best, dist = q._kmeans_assign(emb, np.array([[0, 0, 0], [1_000_000, -500_000, 0]]))
+    assert best.tolist() == [0] and dist.tolist() == [500000**2 + 250000**2]
