@@ -413,6 +413,31 @@ def _order_mini_boxes(boxes: np.ndarray) -> np.ndarray:
     return np.take_along_axis(s, idx[:, :, None], axis=1)
 
 
+def _calipers(pts: np.ndarray, start: np.ndarray, count: np.ndarray):
+    """Rotating calipers over every edge of hulls of >= 3 vertices ->
+    (unordered boxes [N, 4, 2], sside [N]); see ``_min_area_rects``."""
+    cnt = count[:, None]
+    nmax = int(cnt.max())
+    i = np.arange(nmax)[None, :]
+    hull = pts[start[:, None] + np.minimum(i, cnt - 1)]             # [N, nmax, 2]
+    e = hull[np.arange(count.size)[:, None], (i + 1) % cnt] - hull  # edge i of every hull
+    norm = np.hypot(e[..., 0], e[..., 1])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = e / norm[..., None]
+    v = np.stack([-u[..., 1], u[..., 0]], axis=-1)
+    pu = (hull[:, None] @ u[..., None])[..., 0]                     # [N, edge, vertex]
+    pv = (hull[:, None] @ v[..., None])[..., 0]
+    u0, v0 = pu.min(axis=2), pv.min(axis=2)
+    w = pu.max(axis=2) - u0
+    h = pv.max(axis=2) - v0
+    k = _first_edge_wins(np.where(i < cnt, w * h, np.inf))
+    r = np.arange(count.size)
+    u, v, u0, v0, w, h = u[r, k], v[r, k], u0[r, k, None], v0[r, k, None], w[r, k, None], h[r, k, None]
+    c00 = u * u0 + v * v0
+    boxes = np.stack([c00, c00 + u * w, c00 + u * w + v * h, c00 + v * h], axis=1)
+    return boxes, np.minimum(w, h)[:, 0]
+
+
 def _min_area_rects(hx: np.ndarray, hy: np.ndarray, start: np.ndarray, count: np.ndarray):
     """Minimum-area enclosing rectangles of many hulls (each in
     ``convex_hull`` order) by rotating calipers over every hull edge at
@@ -425,42 +450,22 @@ def _min_area_rects(hx: np.ndarray, hy: np.ndarray, start: np.ndarray, count: np
     directions: numpy runs it as one BLAS gemv per edge, the call
     ``hull @ u`` makes, so the projections are bit-identical to it (an
     elementwise or einsum form differs in the last bit, enough to flip
-    near-tied areas).  Short hulls are padded by repeating their last
-    vertex, which leaves every extent unchanged.  Hulls of one or two
-    points give the degenerate boxes [p, p, p, p] / [p, q, q, p] with
-    sside 0."""
-    n = count.size
-    boxes = np.zeros((n, 4, 2), dtype=np.float64)
-    sside = np.zeros(n, dtype=np.float64)
+    near-tied areas).  Hulls are stacked per power-of-two size class,
+    short ones padded by repeating their last vertex (which leaves every
+    extent unchanged), so padding at most doubles a hull's work.  Hulls
+    of one or two points give the degenerate boxes [p, p, p, p] /
+    [p, q, q, p] with sside 0."""
+    boxes = np.zeros((count.size, 4, 2), dtype=np.float64)
+    sside = np.zeros(count.size, dtype=np.float64)
     pts = np.stack([hx, hy], axis=1).astype(np.float64)
     flat = count <= 2
-    if flat.any():
-        p = pts[start[flat]]
-        q = pts[start[flat] + count[flat] - 1]
-        boxes[flat] = np.stack([p, q, q, p], axis=1)
-    big = np.flatnonzero(~flat)
-    if big.size:
-        cnt = count[big][:, None]
-        nmax = int(cnt.max())
-        i = np.arange(nmax)[None, :]
-        hull = pts[start[big][:, None] + np.minimum(i, cnt - 1)]        # [B, nmax, 2]
-        e = hull[np.arange(big.size)[:, None], (i + 1) % cnt] - hull    # edge i of every hull
-        norm = np.hypot(e[..., 0], e[..., 1])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            u = e / norm[..., None]
-        v = np.stack([-u[..., 1], u[..., 0]], axis=-1)
-        pu = (hull[:, None] @ u[..., None])[..., 0]                     # [B, edge, vertex]
-        pv = (hull[:, None] @ v[..., None])[..., 0]
-        u0, v0 = pu.min(axis=2), pv.min(axis=2)
-        w = pu.max(axis=2) - u0
-        h = pv.max(axis=2) - v0
-        area = np.where(i < cnt, w * h, np.inf)
-        k = _first_edge_wins(area)
-        r = np.arange(big.size)
-        u, v, u0, v0, w, h = u[r, k], v[r, k], u0[r, k, None], v0[r, k, None], w[r, k, None], h[r, k, None]
-        c00 = u * u0 + v * v0
-        boxes[big] = np.stack([c00, c00 + u * w, c00 + u * w + v * h, c00 + v * h], axis=1)
-        sside[big] = np.minimum(w, h)[:, 0]
+    p = pts[start[flat]]
+    q = pts[start[flat] + count[flat] - 1]
+    boxes[flat] = np.stack([p, q, q, p], axis=1)
+    size_class = np.frexp(count)[1]
+    for c in np.unique(size_class[~flat]):
+        sel = np.flatnonzero(~flat & (size_class == c))
+        boxes[sel], sside[sel] = _calipers(pts, start[sel], count[sel])
     return _order_mini_boxes(boxes), sside
 
 
