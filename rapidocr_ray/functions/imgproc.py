@@ -743,9 +743,10 @@ def db_postprocess(
     scores = np.zeros(0)
     if cand.size:
         scores = _convex_polygon_means(pred, polx, poly, np.cumsum(pcount) - pcount, pcount)
-    for j in np.flatnonzero(~(np.abs(scores - box_thresh) > SCORE_TIE_MARGIN)):
-        # rare: a polygon floored out of strict convexity, or a score
-        # near the threshold — the per-shape float32 scorer decides
+    # rare: a polygon floored out of strict convexity (NaN), or a score
+    # near the threshold — the per-shape float32 scorer decides
+    redo = np.isnan(scores) | (np.abs(scores - box_thresh) <= SCORE_TIE_MARGIN)
+    for j in np.flatnonzero(redo):
         if score_mode == "slow":
             rows = comp == cand[j]
             _, px, py = _row_points(comp[rows], y[rows], xl[rows], xr[rows])
