@@ -195,10 +195,11 @@ def write_pages_parquet(
     """Write the pages table as n_files parquet shards (the unit of the
     resumable runner's partitioning, state/manifest.py).
 
-    Small row groups matter: Ray's read_parquet can only split blocks
-    at row-group boundaries, so cascade-sized row groups let
-    override_num_blocks produce fine-grained tasks without a
-    repartition barrier (pipelines/extract.py::read_pages)."""
+    Small row groups matter: row groups are the split points of
+    ``read_pages`` (pipelines/extract.py::PageFilesSource), which reads
+    each file as runs of whole row groups, one block each, so
+    cascade-sized row groups give fine-grained tasks without a
+    repartition barrier."""
     import os
 
     import pyarrow.parquet as pq

@@ -326,14 +326,12 @@ def run_resumable(
     build_lock = threading.Lock()
 
     def run_partition(pid: int, group: list[str]) -> dict:
-        # one footer scan per group: read_pages reuses the total
-        total = sum(pq.ParquetFile(f).metadata.num_rows for f in group)
         with build_lock:
-            # dataset BUILD (path resolution, plan construction) hits
+            # dataset BUILD (footer reads, plan construction) hits
             # lazy imports inside Ray/pyarrow that are not thread-safe;
             # building is milliseconds, so serializing it costs nothing
             # while the EXECUTIONS still overlap
-            ds = read_pages(group, total_rows=total)
+            ds = read_pages(group)
             result = build_extract_pipeline(
                 ds, cfg=cfg, dedup=dedup, winners_files=group
             )

@@ -192,18 +192,16 @@ def _ink_to_pred(ink: np.ndarray) -> np.ndarray:
     shifts = np.round(np.arange(w, dtype=np.float64) * t).astype(np.int64)
     pad_top = int(max(0, shifts.max()))
     pad_bot = int(max(0, -shifts.min()))
+    # flat index of page pixel (y, x) in the deskewed tall map: row
+    # y + pad_top - shift[x] of column x.  One scatter in, one gather
+    # out — no per-shift loop, so the cost does not grow with tan theta
+    idx = ((pad_top - shifts)[None, :] + np.arange(h)[:, None]) * w + np.arange(w)
     tall = np.zeros((h + pad_top + pad_bot, w), dtype=np.uint8)
-    for s in np.unique(shifts):
-        cols = shifts == s
-        tall[pad_top - s:pad_top - s + h, cols] = ink_u8[:, cols]
+    tall.ravel()[idx] = ink_u8
     # +1 horizontal reach: the integer shift staircase costs up to one
     # column of effective H continuity at each step boundary
     tall = _axis_smear(tall, h_reach=DET_H_REACH + 1)
-    out = np.empty((h, w), dtype=np.uint8)
-    for s in np.unique(shifts):
-        cols = shifts == s
-        out[:, cols] = tall[pad_top - s:pad_top - s + h, cols]
-    return out.astype(np.float32) * np.float32(DET_PEAK)
+    return tall.ravel()[idx].astype(np.float32) * np.float32(DET_PEAK)
 
 
 class DetModel:

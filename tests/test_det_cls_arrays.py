@@ -4,7 +4,8 @@ reproduce the per-component and per-crop code they replaced, exactly.
 The ``_ref_*`` functions below are verbatim copies of that code: the
 row-run union-find labelling, Andrew's hull, the per-edge rotating
 calipers, the per-component ``db_postprocess`` loop, the per-box
-``filter_det_boxes``, the 41-pass shear scan and the per-crop
+``filter_det_boxes``, the 41-pass shear scan, the per-shift loops of
+the deskewed smear and the per-crop
 ``cls_resize_norm`` + ``ClsModel.infer``.  Every test compares the
 array programs against them with exact equality (det scores, which are
 float64 means instead of float32 ones, to 1e-6)."""
@@ -717,16 +718,18 @@ def _pages() -> list[np.ndarray]:
     lines = ["hello world test line", "second line of text", "and a third"]
     pages = [render_page(lines, margin=28, line_gap=32),
              render_page(lines[:2], margin=28, line_gap=32, rotate180=True)]
-    page = render_page(lines[:2], line_gap=32)
+    return pages + [_rotated_page(lines[:2], deg) for deg in (2.0, 7.0, 15.0)]
+
+
+def _rotated_page(lines: list[str], deg: float) -> np.ndarray:
+    page = render_page(lines, line_gap=32)
     h, w = page.shape
-    for deg in (2.0, 7.0, 15.0):
-        th = np.deg2rad(deg)
-        c, s = np.cos(th), np.sin(th)
-        big_h, big_w = int(h * c + w * s) + 40, int(w * c + h * s) + 40
-        corners = np.array([[0, 0], [w, 0], [w, h], [0, h]], dtype=np.float64)
-        rot = (corners - [w / 2, h / 2]) @ np.array([[c, s], [-s, c]]) + [big_w / 2, big_h / 2]
-        pages.append(warp_perspective(page, perspective_matrix(corners, rot), big_w, big_h))
-    return pages
+    th = np.deg2rad(deg)
+    c, s = np.cos(th), np.sin(th)
+    big_h, big_w = int(h * c + w * abs(s)) + 40, int(w * c + h * abs(s)) + 40
+    corners = np.array([[0, 0], [w, 0], [w, h], [0, h]], dtype=np.float64)
+    rot = (corners - [w / 2, h / 2]) @ np.array([[c, s], [-s, c]]) + [big_w / 2, big_h / 2]
+    return warp_perspective(page, perspective_matrix(corners, rot), big_w, big_h)
 
 
 def test_det_resize_ink_is_resize_then_threshold():
@@ -758,6 +761,57 @@ def test_estimate_shear_matches_per_angle_scan():
     got = [models._estimate_shear(m) for m in inks]
     assert got == [_ref_estimate_shear(m) for m in inks]
     assert any(t != 0.0 for t in got)
+
+
+def _ref_ink_to_pred(ink: np.ndarray) -> np.ndarray:
+    ink_u8 = ink.astype(np.uint8)
+    t = models._estimate_shear(ink)
+    if t != 0.0 and models._deskewed_line_bands(ink_u8, t) <= 1:
+        # single text band: the axis smear cannot merge anything, and
+        # its (proven) geometry feeds the rec warp unchanged — the
+        # shear path's integer-shift staircase would only perturb the
+        # box by a pixel or two for no separation benefit
+        t = 0.0
+    if t == 0.0:
+        smear = models._axis_smear(ink_u8)
+        return smear.astype(np.float32) * np.float32(models.DET_PEAK)
+    h, w = ink_u8.shape
+    shifts = np.round(np.arange(w, dtype=np.float64) * t).astype(np.int64)
+    pad_top = int(max(0, shifts.max()))
+    pad_bot = int(max(0, -shifts.min()))
+    tall = np.zeros((h + pad_top + pad_bot, w), dtype=np.uint8)
+    for s in np.unique(shifts):
+        cols = shifts == s
+        tall[pad_top - s:pad_top - s + h, cols] = ink_u8[:, cols]
+    # +1 horizontal reach: the integer shift staircase costs up to one
+    # column of effective H continuity at each step boundary
+    tall = models._axis_smear(tall, h_reach=models.DET_H_REACH + 1)
+    out = np.empty((h, w), dtype=np.uint8)
+    for s in np.unique(shifts):
+        cols = shifts == s
+        out[:, cols] = tall[pad_top - s:pad_top - s + h, cols]
+    return out.astype(np.float32) * np.float32(models.DET_PEAK)
+
+
+def test_sheared_smear_matches_per_shift_loops():
+    """The deskewed smear (one scatter into the tall map, one gather
+    out) against the per-shift column loops it replaced, on pages
+    sheared both ways and on an upright page."""
+    lines = ["hello world test line", "second line of text"]
+    upright = ip.det_resize(render_page(lines, line_gap=32))[0] >= 128
+    assert models._estimate_shear(upright) == 0.0
+    inks = [upright]
+    for deg in (2.0, -2.0, 7.0, -7.0, 15.0, -15.0):
+        ink = ip.det_resize(_rotated_page(lines, deg))[0] >= 128
+        t = models._estimate_shear(ink)
+        # the sheared branch must run: a non-zero angle, several bands
+        assert np.sign(t) == np.sign(deg), deg
+        assert models._deskewed_line_bands(ink.astype(np.uint8), t) > 1, deg
+        inks.append(ink)
+    for ink in inks:
+        got = DetModel().infer_ink(ink)
+        want = _ref_ink_to_pred(ink)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_text_detector_matches_reference_pipeline(monkeypatch):

@@ -336,6 +336,47 @@ def test_extraction_is_one_fused_operator(ray_session, tmp_path):
         assert got[col].fillna("<NULL>").tolist() == want[col].fillna("<NULL>").tolist(), col
 
 
+def test_read_fuses_when_blocks_outnumber_files(ray_session, tmp_path):
+    """Two files read as more blocks than files (the crawl-shard shape)
+    still run as ONE operator: read_pages plans whole row-group runs
+    from the footers and asks Ray for exactly that many blocks, so no
+    SplitBlocks operator follows the read.  The Dataset's block size is
+    the largest read task's bytes, not Ray's 128 MiB default."""
+    from ray.data import DataContext
+
+    from rapidocr_ray.pipelines.extract import (
+        PageFilesSource,
+        build_extract_pipeline,
+        read_pages,
+    )
+    from rapidocr_ray.sources.pages import write_pages_parquet
+
+    pages = synth_pages(60, seed=5)
+    files = write_pages_parquet(pages, str(tmp_path), n_files=2, row_group_size=4)
+    plan = PageFilesSource(files, 8).plan
+    assert len(plan) > len(files)
+    ds = build_extract_pipeline(read_pages(files, rows_per_block=8), winners_files=files)
+    ds = ds.materialize()
+
+    operators = [
+        line for line in ds.stats().splitlines() if line.startswith("Operator ")
+    ]
+    assert len(operators) == 1, operators
+    assert "ReadParquet" in operators[0]
+    assert "MapBatches(CascadeStage)" in operators[0]
+    assert f"{len(plan)} tasks executed" in operators[0]
+
+    got = _to_sorted_pandas(ds.to_pandas())
+    want = _to_sorted_pandas(OracleExtractor().run(pages))
+    for col in COMPARE_COLS:
+        assert got[col].fillna("<NULL>").tolist() == want[col].fillna("<NULL>").tolist(), col
+
+    default = DataContext.get_current().target_max_block_size
+    assert default == 128 * 1024 * 1024  # the session's context is untouched
+    target = read_pages(files, rows_per_block=8).context.target_max_block_size
+    assert max(run.size_bytes for run in plan) <= target < default
+
+
 def test_shipped_cascade_stage_shares_the_process_registry():
     """A CascadeStage shipped by value (as to every extraction task)
     takes its ModelRegistry from the process cache: models are built
