@@ -57,7 +57,7 @@ def shingle_set_hashes(text: str, k: int = 3) -> np.ndarray:
 
 class MinHasher:
     """n_perm multiply-shift MinHash over shingle hashes.  Seeded
-    parameters are generated once (actor __init__ state).
+    parameters are generated once, in ``__init__``.
 
     The permutation family is multiply-shift hashing
     h_i(x) = (a_i * x + b_i) with native uint64 wraparound (a_i odd) —

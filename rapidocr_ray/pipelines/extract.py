@@ -40,9 +40,8 @@ from ray.data.datasource import ReadTask
 
 from rapidocr_ray.config import PipelineConfig
 from rapidocr_ray.util import (
+    broadcast_get,
     ensure_worker_importable,
-    lru_cache_get,
-    process_cache,
     session_cpus,
 )
 from rapidocr_ray.stages.ray_stages import (
@@ -159,8 +158,8 @@ def dedup_by_url(
         winners_files = None
     if winners_files is not None:
         # source-projection fast path, overlapped with pipeline build
-        # (_winners_merge docstring); ray.get happens lazily in
-        # the first keep_winners call on each worker.  Total row count
+        # (_winners_merge docstring); the winners map is read in the
+        # first keep_winners call of each worker process.  Total row count
         # (free footer scan) upper-bounds distinct urls: only when it
         # exceeds the broadcast limit must the driver wait for the
         # winners task to learn whether to fall back — the common
@@ -250,7 +249,11 @@ def dedup_by_url(
         import pyarrow as pa
         import pyarrow.compute as pc
 
-        m = _winners_cached(ref)
+        # a pd.Series built once per worker process: Series.map(dict)
+        # rebuilds a Series from the WHOLE dict on every call
+        # (O(|winners|) per batch, measured 0.5 s/batch at 1M urls),
+        # while .map(Series) is a C-level index lookup
+        m = broadcast_get(ref, _pd.Series)
         ts = _np.asarray(pc.cast(batch.column("warc_ts"), pa.int64()))
         # vectorized dict lookup (C-level .map); epoch-us values are
         # well under 2^53 so the float64 NaN-for-missing round trip is
@@ -265,25 +268,6 @@ def dedup_by_url(
         return batch.filter(pa.array(want == ts))
 
     return ds.map_batches(keep_winners, batch_format="pyarrow")
-
-
-def _winners_cached(ref):
-    """ray.get deserializes a plain dict on every call; cache it per
-    worker process (keyed by object ref) so the filter pays the cost
-    once per worker instead of once per block."""
-    import ray as _ray
-
-    # stored as a pd.Series: Series.map(dict) rebuilds a Series
-    # from the WHOLE dict on every call (O(|winners|) per batch,
-    # measured 0.5 s/batch at 1M urls), while .map(Series) is a
-    # C-level index lookup against this one cached object.  LRU of 2:
-    # winner maps are the largest broadcast this engine ships.
-    def build():
-        import pandas as _pd
-
-        return _pd.Series(_ray.get(ref))
-
-    return lru_cache_get(process_cache("winners"), ref.hex(), build, maxsize=2)
 
 
 # ONE source of truth for page-block granularity: read_pages' default,

@@ -37,8 +37,8 @@ from rapidocr_ray.functions.textstats import (
 )
 from rapidocr_ray.stages.tiered import count_table, doc_bucket, keyed_sum
 from rapidocr_ray.util import (
+    broadcast_get,
     ensure_worker_importable,
-    lru_cache_get,
     stack_list_column,
 )
 
@@ -284,19 +284,6 @@ FROM orders ORDER BY total_cents DESC, o_orderkey LIMIT 10
 """
 
 
-_BROADCAST_SERIES_CACHE: dict = {}
-
-
-def _broadcast_series_cached(ref):
-    """Per-worker cache of a broadcast lookup dict as a pd.Series so
-    per-batch ``.map`` is an index lookup, not a dict->Series rebuild."""
-    import ray as _ray
-
-    return lru_cache_get(
-        _BROADCAST_SERIES_CACHE, ref.hex(), lambda: pd.Series(_ray.get(ref))
-    )
-
-
 def q_revenue_by_mktsegment(sf_dir: str, broadcast_limit: int = 20_000_000):
     """Broadcast join (J3 pattern): small customer side ray.put once,
     looked up vectorized per batch — no shuffle join.  Guarded by
@@ -321,10 +308,9 @@ def q_revenue_by_mktsegment(sf_dir: str, broadcast_limit: int = 20_000_000):
     ds = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
     def join(batch: pa.Table) -> pa.Table:
-        # ray.get of the same ref is cheap (plasma-cached) but dict ->
-        # Series conversion is not: Series.map(dict) rebuilds a Series
-        # per call, so map against a Series built once per worker
-        lk = _broadcast_series_cached(ref)
+        # Series.map(dict) rebuilds a Series per call, so map against
+        # a Series built once per worker process
+        lk = broadcast_get(ref, pd.Series)
         segs = batch.column("o_custkey").to_pandas().map(lk)
         return pa.table(
             {
@@ -1519,17 +1505,14 @@ GROUP BY 1, 2
 """.replace("{P}", _ROLL_P_SQL).replace("{M}", str(_ROLL_M))
 
 
-_DECONTAM_CACHE: dict = {}
-
-
 def q_decontam_flags(sf_dir: str, window: int = 16):
     """Benchmark decontamination: flag every corpus document sharing
     ANY 16-byte substring with the benchmark subset (``doc_id % 97 ==
     0`` — the deterministic stand-in for a held-out eval suite).  The
     canonical training-data shape: the benchmark side is tiny (MBs of
     eval suites vs TBs of corpus), so its DISTINCT window-hash set is
-    computed once, ``ray.put`` ONCE, and read per worker through the
-    bounded LRU — the corpus then streams through one map_batches with
+    computed once, ``ray.put`` ONCE, and read once per worker process
+    (``util.broadcast_get``) — the corpus then streams through one map_batches with
     NO shuffle at all; nothing but the flags column moves.  ASCII and
     sub-window preconditions shared with the rolling-fingerprint
     oracle family (non-ASCII docs are filtered, <16-byte docs carry no
@@ -1559,7 +1542,7 @@ def q_decontam_flags(sf_dir: str, window: int = 16):
     ref = ray.put(bench_set)
 
     def flag(batch: pa.Table) -> pa.Table:
-        bset = lru_cache_get(_DECONTAM_CACHE, ref.hex(), lambda: ray.get(ref))
+        bset = broadcast_get(ref)
         ascii_mask = pc.fill_null(pc.string_is_ascii(batch.column("text")), False)
         if not pc.all(ascii_mask).as_py():
             batch = batch.filter(ascii_mask)
@@ -1614,7 +1597,7 @@ def q_decontam_overlap_frac(sf_dir: str, window: int = 16):
     ref = ray.put(bench_set)
 
     def frac(batch: pa.Table) -> pa.Table:
-        bset = lru_cache_get(_DECONTAM_CACHE, "f" + ref.hex(), lambda: ray.get(ref))
+        bset = broadcast_get(ref)
         ascii_mask = pc.fill_null(pc.string_is_ascii(batch.column("text")), False)
         if not pc.all(ascii_mask).as_py():
             batch = batch.filter(ascii_mask)
@@ -2024,7 +2007,7 @@ def _dup_pair_count_by_signature(sf_dir: str, sig_of_batch) -> pa.Table:
     identical text MUST map to an identical signature, so the count of
     same-(signature, md5) pairs equals the count of same-text pairs —
     which a plain SQL COUNT can oracle.  A signature bug
-    (nondeterminism across actors/batches, band instability) breaks
+    (nondeterminism across tasks/batches, band instability) breaks
     the equality and fails the driver's hash check."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -2334,7 +2317,7 @@ def q_ann_ivf_invariant(sf_dir: str):
     )
 
     def attach_exact_sim(batch: pa.Table) -> pa.Table:
-        p, qn_, qidx_ = ray.get(pref)
+        p, qn_, qidx_ = broadcast_get(pref)
         c_ids, c_mat = _stack_embeddings(batch)
         cn = _normalize(c_mat)
         sel = p[p.neighbor_id.isin(c_ids)]
@@ -2392,7 +2375,7 @@ FROM (SELECT vec_id FROM embeddings ORDER BY vec_id LIMIT 10)
 
 
 def q_image_metadata(sf_dir: str):
-    """Image decode actor-pool over the pages payload column: RBMP rows
+    """Image decode task map over the pages payload column: RBMP rows
     decode for real, html/empty rows surface typed decode errors."""
     from rapidocr_ray.sources.pages import pages_ds_from_documents
     from rapidocr_ray.stages.multimodal import image_metadata_pipeline
@@ -2416,7 +2399,7 @@ def q_webp_metadata(sf_dir: str):
     """WebP-lossless (VP8L) path plumbing with a hash-checked oracle:
     deterministic gradient images (pixel(y,x) = (7x + 13y + doc_id) %
     256, size keyed off doc_id) are encoded to real VP8L containers per
-    document, decoded back by the ImageDecodeStage actor pool (through
+    document, decoded back by the ImageDecodeStage task map (through
     ``functions.webp``), and the DuckDB oracle re-derives height/width/
     ink-count analytically from doc_id — all integer arithmetic, so a
     single wrong pixel anywhere in the codec flips the hash."""
@@ -2463,7 +2446,7 @@ def q_video_frame_stats(sf_dir: str):
     """Video-path plumbing with a hash-checked oracle: deterministic
     RBMP frame streams (1 + doc_id%5 constant-value 16x16 frames)
     synthesized per document, decoded + every-2nd-frame sampled by the
-    FrameSampleStage actor pool; the DuckDB oracle re-derives the
+    FrameSampleStage task map; the DuckDB oracle re-derives the
     sampled-frame ink analytically from doc_id (the SQL_IMAGE_METADATA
     pattern — all arithmetic integer, bit-exact)."""
     from rapidocr_ray.stages.multimodal import frame_stats_pipeline
@@ -2514,7 +2497,7 @@ def q_avi_frame_stats(sf_dir: str):
     AVI/MJPG files (1 + doc_id%4 frames of 16x24 8x8-block-constant
     tiles) synthesized deterministically, demuxed by the header-only
     AVI chunk walk and every-2nd-frame decoded through the from-scratch
-    JPEG decoder inside the FrameSampleStage actor pool.  quality=100
+    JPEG decoder inside the FrameSampleStage task map.  quality=100
     (all-ones quant table) makes block-constant frames round-trip
     bit-exactly, so the DuckDB oracle re-derives the sampled ink purely
     from doc_id — integer arithmetic, no image library on either side."""
@@ -2606,7 +2589,7 @@ def q_audio_features(sf_dir: str):
     16-bit PCM square waves (amplitude 2^(9 + doc_id%4) counts, length
     16000 + 8000*(doc_id%4) samples at 16 kHz) synthesized per
     document, decoded + feature-extracted by the AudioFeatureStage
-    actor pool.  Power-of-two amplitudes make the decoded samples, the
+    task map.  Power-of-two amplitudes make the decoded samples, the
     float32 mean-of-squares and its sqrt all EXACT, so rms_scaled =
     1e6 * 2^(j-15) = 15625 * 2^(doc_id%4) with no rounding ties — the
     DuckDB oracle is pure integer arithmetic on doc_id."""
@@ -2649,7 +2632,7 @@ FROM documents
 
 
 def q_image_features(sf_dir: str):
-    """Feature-extraction actor-pool over decoded pixels, emitted as
+    """Feature-extraction task map over decoded pixels, emitted as
     EXACT integer-scaled profile bins (long format) so the DuckDB
     oracle can re-derive them analytically from documents.text via the
     embedded glyph-constant table (the SQL_IMAGE_METADATA pattern)."""
@@ -3802,9 +3785,6 @@ FROM j GROUP BY doc_id
 """
 
 
-_BLOOM_CACHE: dict = {}
-
-
 def _lead_key(text: str) -> str:
     """Leading-content fingerprint: first 8 words (crawl-dedup proxy
     for shared boilerplate headers; mirrors SQL list slice [1:8])."""
@@ -3817,7 +3797,7 @@ def q_incremental_dedup(sf_dir: str, n_bits_log2: int = 20, n_buckets: int = 64)
     fingerprint already appeared in the PRIOR snapshot (doc_id%3==0,
     the deterministic stand-in).  Scale shape: the prior side builds a
     mergeable Bloom filter (per-batch 128 KB bit partials, OR-reduced,
-    broadcast once via ray.put + worker LRU); new docs stream through
+    broadcast once via ray.put + ``broadcast_get``); new docs stream through
     the probe and ONLY Bloom candidates enter the exact-verify
     bucketed semi-join — false positives are removed there, so the
     output is EXACT (hash-checked) while non-candidates never shuffle.
@@ -3860,7 +3840,7 @@ def q_incremental_dedup(sf_dir: str, n_bits_log2: int = 20, n_buckets: int = 64)
     ref = ray.put(bloom)
 
     def probe(batch: pa.Table) -> pa.Table:
-        bl = lru_cache_get(_BLOOM_CACHE, ref.hex(), lambda: ray.get(ref))
+        bl = broadcast_get(ref)
         ids, digs = _keys(batch)
         new_mask = ids % 3 != 0
         nids = ids[new_mask]
@@ -4202,7 +4182,7 @@ def q_rank_weighted_sample(sf_dir: str, n_iter: int = 5):
     lookup_ref = ray.put(pd.Series(thresh, index=ranks_df["node"].to_numpy()))
 
     def gate(batch: pa.Table) -> pa.Table:
-        lk = ray.get(lookup_ref)
+        lk = broadcast_get(lookup_ref)
         ids = np.asarray(batch.column("doc_id"), dtype=np.int64)
         th = lk.reindex(
             batch.column("source").to_pandas(), fill_value=0
@@ -5157,9 +5137,6 @@ GROUP BY o.o_orderkey
 """
 
 
-_RANK_BASE_CACHE: dict = {}
-
-
 def q_lang_percentile_rank(sf_dir: str):
     """Per-group dense rank at scale (the rank-normalization step a
     curation pipeline runs before per-lang thresholding): rank of
@@ -5169,7 +5146,7 @@ def q_lang_percentile_rank(sf_dir: str):
     exact (lang, n_chars) count histogram fits the driver (the
     length_quantiles argument); exclusive cumulative counts per lang
     give each (lang, n_chars) group its base offset, broadcast once
-    (ray.put + worker LRU); ONE shuffle keyed by (lang, n_chars) and a
+    (ray.put + ``broadcast_get``); ONE shuffle keyed by (lang, n_chars) and a
     vectorized in-group doc_id sort finish the rank.  A giant lang is
     fine: its docs spread over #distinct-lengths groups, not one task."""
     import ray
@@ -5211,9 +5188,7 @@ def q_lang_percentile_rank(sf_dir: str):
     base_ref = ray.put(base)
 
     def rank_group(g: pd.DataFrame) -> pa.Table:
-        b = lru_cache_get(
-            _RANK_BASE_CACHE, base_ref.hex(), lambda: ray.get(base_ref)
-        )
+        b = broadcast_get(base_ref)
         gg = g.sort_values("doc_id", kind="mergesort")
         start = b[(gg.lang.iloc[0], int(gg.n_chars.iloc[0]))]
         return pa.table(
@@ -5322,9 +5297,6 @@ FROM tok JOIN d USING (t) GROUP BY doc_id
 """
 
 
-_EPOCH_BASE_CACHE: dict = {}
-
-
 def q_epoch_shuffle(sf_dir: str, cell_bits: int = 16):
     """Deterministic epoch shuffle — the pretraining loader's global
     training order: position = dense rank of a multiplicative doc_id
@@ -5334,7 +5306,7 @@ def q_epoch_shuffle(sf_dir: str, cell_bits: int = 16):
     offsets; pass 2 is ONE bounded shuffle keyed by cell with a
     vectorized in-cell sort — position = base[cell] + local index.
     The base array (2^cell_bits × 8 B) broadcasts once via ray.put +
-    worker LRU.  Hash pin: (doc_id · 2654435761) mod 2^32 — uint64
+    ``broadcast_get``.  Hash pin: (doc_id · 2654435761) mod 2^32 — uint64
     wraparound then mod 2^32 equals the oracle's HUGEINT arithmetic
     exactly because 2^32 divides 2^64.  At 10^12 docs raise cell_bits
     so cells stay ~1M rows (the knob trades base-array size for
@@ -5389,9 +5361,7 @@ def q_epoch_shuffle(sf_dir: str, cell_bits: int = 16):
     base_ref = ray.put(base)
 
     def rank_cell(g: pd.DataFrame) -> pa.Table:
-        b = lru_cache_get(
-            _EPOCH_BASE_CACHE, base_ref.hex(), lambda: ray.get(base_ref)
-        )
+        b = broadcast_get(base_ref)
         gg = g.sort_values(["h", "doc_id"], kind="mergesort")
         start = int(b[int(gg.cell.iloc[0])])
         return pa.table(

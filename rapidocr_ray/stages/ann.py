@@ -24,7 +24,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from rapidocr_ray.util import ensure_worker_importable, stack_list_column
+from rapidocr_ray.util import (
+    broadcast_get,
+    ensure_worker_importable,
+    stack_list_column,
+)
 
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
@@ -51,7 +55,7 @@ def brute_force_topk(ds, query_ids: np.ndarray, query_mat: np.ndarray, k: int = 
     qref = ray.put((np.asarray(query_ids, dtype=np.int64), _normalize(np.asarray(query_mat, dtype=np.float64))))
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        q_ids, q_mat = ray.get(qref)
+        q_ids, q_mat = broadcast_get(qref)
         c_ids, c_mat = _stack_embeddings(batch)
         sims = q_mat @ _normalize(c_mat).T  # [Q, B]
         out_q, out_n, out_s = [], [], []
@@ -119,7 +123,7 @@ def _bucketed_topk(ds, query_ids: np.ndarray, q_mat_n: np.ndarray,
     ref = ray.put((np.asarray(query_ids, dtype=np.int64), q_mat_n, cents, probe))
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        q_ids, q_mat, cents_, probe_ = ray.get(ref)
+        q_ids, q_mat, cents_, probe_ = broadcast_get(ref)
         c_ids, c_mat = _stack_embeddings(batch)
         c_n = _normalize(c_mat)
         buckets = np.argmax(c_n @ cents_.T, axis=1)  # [B]

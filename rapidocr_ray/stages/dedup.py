@@ -12,7 +12,7 @@ small, low-cardinality groups.
 Operators:
 - exact dedup: content-hash column (vectorized map_batches) -> bounded
   bucket shuffle -> per-bucket vectorized keep-min-id.
-- MinHash-LSH near-dup: signatures (actor pool) -> SLIM band rows
+- MinHash-LSH near-dup: signatures (task map) -> SLIM band rows
   (doc_id, band_hash, bucket — never the signature) -> bucket merge ->
   deduped candidates -> signatures attached via two bucketed joins ->
   signature-agreement estimate >= t.
@@ -45,8 +45,8 @@ from rapidocr_ray.functions.hashing import (
 )
 from rapidocr_ray.functions.textstats import fingerprint_md5
 from rapidocr_ray.util import (
+    broadcast_get,
     ensure_worker_importable,
-    lru_cache_get,
     stack_list_column,
 )
 
@@ -99,7 +99,8 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
 
 
 class MinHashSignatures:
-    """Actor-pool stage: seeded permutations built once per actor."""
+    """Signature stage: the seeded permutations are built once, on the
+    driver, and ship with the instance to every task."""
 
     def __init__(self, n_perm: int = 128, k: int = 3, seed: int = 7):
         self.hasher = MinHasher(n_perm=n_perm, seed=seed)
@@ -128,15 +129,11 @@ class MinHashSignatures:
 
 
 def minhash_signatures(ds, n_perm: int = 128, k: int = 3, seed: int = 7):
-    """Signature actor pool autoscales to the session (the signature
-    pass dominates wall at corpus scale — a fixed tiny cap would
-    serialize it on large sessions)."""
+    """One signature task per block, as many at once as the session
+    has CPUs (the signature pass dominates wall at corpus scale)."""
     ensure_worker_importable()
     return ds.map_batches(
-        MinHashSignatures,
-        fn_constructor_kwargs={"n_perm": n_perm, "k": k, "seed": seed},
-        batch_format="pyarrow",
-        concurrency=(1, 16),
+        MinHashSignatures(n_perm, k, seed), batch_format="pyarrow"
     )
 
 
@@ -162,52 +159,32 @@ def _dedup_pairs(ds):
     )
 
 
-_SIG_MATRIX_CACHE: dict = {}
+def _sig_matrix(tables: list):
+    """Broadcast signature blocks -> (sorted doc_id vector, row-aligned
+    uint64 matrix); the ``broadcast_get`` build of ``minhash_lsh_pairs``
+    (the blocks are read zero-copy, lookups downstream are vectorized
+    searchsorted)."""
+    t = pa.concat_tables([x for x in tables if x.num_rows])
+    ids = np.asarray(t.column("doc_id"), dtype=np.int64)
+    n_perm = len(t.column("sig")[0])
+    mat = np.asarray(
+        t.column("sig").combine_chunks().flatten(), dtype=np.uint64
+    ).reshape(len(ids), n_perm)
+    order = np.argsort(ids)
+    return ids[order], mat[order]
 
 
-def _sig_matrix_cached(key: tuple, refs: list):
-    """Per-worker cache of the broadcast signature matrix: object-store
-    block refs -> (sorted doc_id vector, row-aligned uint64 matrix).
-    Built once per worker (ray.get reads the blocks zero-copy); lookups
-    downstream are vectorized searchsorted.  LRU-bounded (not
-    clear-on-new-key) so interleaved dedup jobs sharing workers keep
-    their broadcasts cached."""
-    def build():
-        import ray as _ray
-
-        tables = _ray.get(list(refs))
-        t = pa.concat_tables([x for x in tables if x.num_rows])
-        ids = np.asarray(t.column("doc_id"), dtype=np.int64)
-        n_perm = len(t.column("sig")[0])
-        mat = np.asarray(
-            t.column("sig").combine_chunks().flatten(), dtype=np.uint64
-        ).reshape(len(ids), n_perm)
-        order = np.argsort(ids)
-        return ids[order], mat[order]
-
-    return lru_cache_get(_SIG_MATRIX_CACHE, key, build)
-
-
-_SHINGLE_TABLE_CACHE: dict = {}
-
-
-def _shingle_table_cached(key: tuple, refs: list):
-    """Per-worker cache of the broadcast shingle table: object-store
-    block refs -> (doc_id -> row dict, shingle ListArray).  The arrow
-    buffers stay in shared plasma memory (zero-copy across the workers
-    of a node); only candidate docs' lists are ever materialized.
-    LRU-bounded (ADVICE r3: no clear-on-new-key thrash)."""
-    def build():
-        import ray as _ray
-
-        tables = _ray.get(list(refs))
-        t = pa.concat_tables([x for x in tables if x.num_rows])
-        ids = np.asarray(t.column("doc_id"), dtype=np.int64)
-        lists = t.column("shingles").combine_chunks()
-        id2row = {int(d): i for i, d in enumerate(ids)}
-        return id2row, lists
-
-    return lru_cache_get(_SHINGLE_TABLE_CACHE, key, build)
+def _shingle_table(tables: list):
+    """Broadcast shingle blocks -> (doc_id -> row dict, shingle
+    ListArray); the ``broadcast_get`` build of ``ngram_jaccard_pairs``.
+    The arrow buffers stay in shared object-store memory (zero-copy
+    across the workers of a node); only candidate docs' lists are ever
+    materialized."""
+    t = pa.concat_tables([x for x in tables if x.num_rows])
+    ids = np.asarray(t.column("doc_id"), dtype=np.int64)
+    lists = t.column("shingles").combine_chunks()
+    id2row = {int(d): i for i, d in enumerate(ids)}
+    return id2row, lists
 
 
 def minhash_lsh_pairs(
@@ -231,10 +208,10 @@ def minhash_lsh_pairs(
     Scoring is adaptive, mirroring dedup_by_url's broadcast_limit
     discipline: while the signature table fits ``sig_broadcast_bytes``
     (~1 GB default — n_perm*8 bytes/doc ≈ 1M docs/GB, i.e. a per-shard
-    corpus), its blocks are read once per worker from the object store
-    and est_jaccard is computed INSIDE the band-bucket groupby — the
-    only remaining shuffles are the narrow band rows and the tiny
-    scored-pair dedup.  Beyond the budget it falls back to the two
+    corpus), its blocks are read once per worker process from the
+    object store and est_jaccard is computed INSIDE the band-bucket
+    groupby — the only remaining shuffles are the narrow band rows and
+    the tiny scored-pair dedup.  Beyond the budget it falls back to the two
     bucketed attach joins (each signature shipped exactly twice, no
     broadcast) — the 100-TB path."""
     hasher = MinHasher(n_perm=n_perm, seed=seed)
@@ -282,7 +259,6 @@ def minhash_lsh_pairs(
 
     if sig_ds.size_bytes() <= sig_broadcast_bytes:
         refs = sig_ds.to_arrow_refs()
-        refs_key = tuple(r.hex() for r in refs)
 
         def bucket_pairs_scored(group: pd.DataFrame) -> pa.Table:
             g = group[["doc_id", "band_hash"]].drop_duplicates()
@@ -290,7 +266,7 @@ def minhash_lsh_pairs(
             m = m[m.doc_id_a < m.doc_id_b][["doc_id_a", "doc_id_b"]].drop_duplicates()
             if m.empty:
                 return out_schema.empty_table()
-            ids, mat = _sig_matrix_cached(refs_key, refs)
+            ids, mat = broadcast_get(refs, _sig_matrix)
             ra = np.searchsorted(ids, m.doc_id_a.to_numpy())
             rb = np.searchsorted(ids, m.doc_id_b.to_numpy())
             est = (mat[ra] == mat[rb]).mean(axis=1)
@@ -539,8 +515,13 @@ def ngram_jaccard_pairs(
             f"hot-shingle set ({n_hot}) exceeds max_hot={max_hot}; "
             "raise hot_df (the broadcast is bounded by rows/hot_df)"
         )
-    hot = {r["h"]: r["df"] for r in df_ds.take_all()}
-    ref_hot = ray.put(hot)
+    # sorted (hash, df) arrays built once here: every prefix batch
+    # looks its hashes up with one searchsorted
+    hot = df_ds.take_all()
+    hk = np.fromiter((r["h"] for r in hot), dtype=np.int64, count=len(hot))
+    hv = np.fromiter((r["df"] for r in hot), dtype=np.int64, count=len(hot))
+    o = np.argsort(hk)
+    ref_hot = ray.put((hk[o], hv[o]))
 
     # --- pass 3: canonical-order prefixes ---
     prefix_schema = pa.schema(
@@ -562,18 +543,14 @@ def ngram_jaccard_pairs(
         n_docs = batch.num_rows
         if n_docs == 0:
             return prefix_schema.empty_table()
-        hot_map = ray.get(ref_hot)
+        hk, hv = broadcast_get(ref_hot)
         ns = np.asarray(batch.column("n_sh"), dtype=np.int64)
         sh_col = batch.column("shingles").combine_chunks()
         flat_sh = sh_col.flatten()
         flat_h = np.asarray(
             batch.column("hashes").combine_chunks().flatten(), dtype=np.int64
         )
-        if hot_map:
-            hk = np.fromiter(hot_map.keys(), dtype=np.int64, count=len(hot_map))
-            hv = np.fromiter(hot_map.values(), dtype=np.int64, count=len(hot_map))
-            o = np.argsort(hk)
-            hk, hv = hk[o], hv[o]
+        if len(hk):
             idx = np.clip(np.searchsorted(hk, flat_h), 0, len(hk) - 1)
             hotc = np.where(hk[idx] == flat_h, hv[idx], 0)
         else:
@@ -639,8 +616,8 @@ def ngram_jaccard_pairs(
 
     # --- pass 5: verify (adaptive, mirroring minhash_lsh_pairs) ---
     # While the shingle table fits the broadcast budget its blocks are
-    # read zero-copy from the object store once per worker and each
-    # candidate pair is verified by direct set intersection — the tiny
+    # read zero-copy from the object store once per worker process and
+    # each candidate pair is verified by direct set intersection — the tiny
     # pair stream is the ONLY thing shuffled (one bucketed dedup).
     # Past the budget, the bucketed attach join (each shingle list
     # ships at most twice, semi-join-pruned to candidate docs) is the
@@ -653,12 +630,11 @@ def ngram_jaccard_pairs(
         uniq_pairs = _dedup_pairs(cand_ds)
 
         refs = sig_ds.select_columns(["doc_id", "shingles"]).to_arrow_refs()
-        refs_key = tuple(r.hex() for r in refs)
 
         def score_broadcast(batch: pa.Table) -> pa.Table:
             if batch.num_rows == 0:
                 return out_schema.empty_table()
-            id2row, lists = _shingle_table_cached(refs_key, refs)
+            id2row, lists = broadcast_get(refs, _shingle_table)
             out_a, out_b, out_j = [], [], []
             for da, db in zip(
                 batch.column("doc_a").to_pylist(), batch.column("doc_b").to_pylist()
@@ -756,7 +732,7 @@ def _pair_attach_score(cand_ds, sig_ds, sig_col, payload_type, score_fn, out_sch
     def sig_to_attach(batch: pa.Table) -> pa.Table:
         d = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
         if ref_ids is not None:
-            wanted = ray.get(ref_ids)
+            wanted = broadcast_get(ref_ids)
             idx = np.clip(np.searchsorted(wanted, d), 0, max(0, len(wanted) - 1))
             mask = (wanted[idx] == d) if len(wanted) else np.zeros(len(d), bool)
             if not mask.all():
@@ -1207,7 +1183,7 @@ def embedding_cosine_pairs(
     cref = ray.put(cents)
 
     def assign(batch: pa.Table) -> pa.Table:
-        c = ray.get(cref)
+        c = broadcast_get(cref)
         mat = stack_list_column(batch.column("embedding"))
         cl = np.argmax(_normalize(mat) @ c.T, axis=1).astype(np.int64)
         return batch.append_column("cluster", pa.array(cl))

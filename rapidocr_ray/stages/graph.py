@@ -27,7 +27,7 @@ Scale shapes (the part that matters at 10^12 docs / ~10^8 domains):
 Exactness: ranks are int64 "nano-units" (total mass 10^12).  Every
 operation is integer (floor division for the per-src share and for the
 damping), and integer addition is order-independent, so the result is
-bit-identical regardless of block boundaries, actor scheduling, or
+bit-identical regardless of block boundaries, task scheduling, or
 DuckDB's aggregation order — the oracle (unrolled-iteration SQL, see
 ``pipelines.queries._pagerank_sql``) matches exactly, no float pin
 needed.  Dangling nodes (no out-edges) simply leak their mass, the
@@ -42,7 +42,7 @@ import pandas as pd
 import pyarrow as pa
 
 from rapidocr_ray.functions.hashing import crc_bucket
-from rapidocr_ray.util import ensure_worker_importable
+from rapidocr_ray.util import broadcast_get, ensure_worker_importable
 
 TOTAL_NANO = 10**12
 DAMP_NUM = 85
@@ -226,7 +226,7 @@ def _pagerank_broadcast(
         rref = ray.put(pd.Series(ranks, index=idx))
 
         def partial(batch: pa.Table, _rref=rref) -> pa.Table:
-            s = ray.get(_rref)
+            s = broadcast_get(_rref)
             src = batch.column("node").to_pandas()
             w = np.asarray(batch.column("w"), dtype=np.int64)
             ow = np.asarray(batch.column("ow"), dtype=np.int64)

@@ -1,5 +1,7 @@
 """Multimodal column stages: image/audio/video as opaque binary columns
-with typed metadata, processed by actor-pool map_batches stages.
+with typed metadata.  Each stage is a callable instance that holds only
+its column names; ``map_batches`` runs it as a task map (no actor
+pool), as the extraction plan runs ``CascadeStage``.
 
 The container ships no cv2/PIL/ffmpeg, so PNG, GIF, BMP, baseline JPEG
 and RIFF/WAV audio are decoded by the from-scratch pure-numpy codecs in
@@ -13,7 +15,7 @@ Stages:
 - ``ImageDecodeStage``: binary -> (height, width, n_ink_pixels, ok, err)
 - ``ImageFeatureStage``: binary -> fixed-size feature vector
   (row/col ink-profile histogram — a deterministic stand-in for a CNN
-  embedding; same actor-pool shape a real model stage would have)
+  embedding)
 - ``AudioFeatureStage``: RIFF/WAV payloads (real pure-numpy PCM/float
   decode) -> (sample_rate, n_channels, duration_us, rms_scaled);
   compressed audio codecs surface as typed error columns.
@@ -89,7 +91,7 @@ def decode_image(payload) -> np.ndarray:
 
 
 class ImageDecodeStage:
-    """Actor-pool stage: binary payload column -> image metadata."""
+    """Binary payload column -> image metadata."""
 
     def __init__(self, payload_col: str = "html"):
         self.payload_col = payload_col
@@ -123,9 +125,9 @@ class ImageDecodeStage:
 
 
 class ImageFeatureStage:
-    """Actor-pool stage: image payload -> fixed-size float32 feature
-    vector (normalized 16-bin row + 16-bin col ink profiles), the
-    actor-shaped stand-in for batched CNN inference."""
+    """Image payload -> fixed-size float32 feature vector (normalized
+    16-bin row + 16-bin col ink profiles), the stand-in for batched CNN
+    inference."""
 
     N_BINS = 16
 
@@ -173,8 +175,8 @@ _BINS_SCHEMA = pa.schema(
 
 
 class ImageFeatureBinsStage:
-    """Actor-pool stage: image payload -> EXACT integer-scaled profile
-    bins in long format, one row per (kind in {row, col}, bin 0..15).
+    """Image payload -> EXACT integer-scaled profile bins in long
+    format, one row per (kind in {row, col}, bin 0..15).
 
     Same ink profiles as ImageFeatureStage but kept in integer
     arithmetic end-to-end: ink_scaled = round_half_up(1e6 * bin_ink /
@@ -223,50 +225,35 @@ class ImageFeatureBinsStage:
         )
 
 
-def image_feature_bins_pipeline(ds, payload_col: str = "html", concurrency: int = 4):
+def image_feature_bins_pipeline(ds, payload_col: str = "html"):
     ensure_worker_importable()
     return ds.map_batches(
-        ImageFeatureBinsStage,
-        fn_constructor_kwargs={"payload_col": payload_col},
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=(1, concurrency),
-        num_cpus=1,
+        ImageFeatureBinsStage(payload_col), batch_format="pyarrow", batch_size=32
     )
 
 
-def image_metadata_pipeline(ds, payload_col: str = "html", concurrency: int = 4):
+def image_metadata_pipeline(ds, payload_col: str = "html"):
     """pages-style Dataset -> per-row image metadata via the decode
-    actor pool (small batches: multi-KB..MB binary rows)."""
+    task map (small batches: multi-KB..MB binary rows)."""
     ensure_worker_importable()
     return ds.map_batches(
-        ImageDecodeStage,
-        fn_constructor_kwargs={"payload_col": payload_col},
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=(1, concurrency),
-        num_cpus=1,
+        ImageDecodeStage(payload_col), batch_format="pyarrow", batch_size=32
     )
 
 
-def image_feature_pipeline(ds, payload_col: str = "html", concurrency: int = 4):
+def image_feature_pipeline(ds, payload_col: str = "html"):
     ensure_worker_importable()
     return ds.map_batches(
-        ImageFeatureStage,
-        fn_constructor_kwargs={"payload_col": payload_col},
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=(1, concurrency),
-        num_cpus=1,
+        ImageFeatureStage(payload_col), batch_format="pyarrow", batch_size=32
     )
 
 
 class AudioFeatureStage:
-    """Actor-pool stage: RIFF/WAV binary payload -> deterministic audio
-    metadata/features (duration_us, sample_rate, n_channels,
-    rms_scaled = round(1e6 * RMS of the mono downmix)).  The same
-    actor shape a batched audio-embedding model stage would have;
-    non-audio / compressed payloads emit typed error columns."""
+    """RIFF/WAV binary payload -> deterministic audio metadata/features
+    (duration_us, sample_rate, n_channels, rms_scaled = round(1e6 * RMS
+    of the mono downmix)), the stand-in for a batched audio-embedding
+    model stage; non-audio / compressed payloads emit typed error
+    columns."""
 
     def __init__(self, payload_col: str = "html"):
         self.payload_col = payload_col
@@ -306,24 +293,19 @@ class AudioFeatureStage:
         return out
 
 
-def audio_feature_pipeline(ds, payload_col: str = "html", concurrency: int = 4):
+def audio_feature_pipeline(ds, payload_col: str = "html"):
     ensure_worker_importable()
     return ds.map_batches(
-        AudioFeatureStage,
-        fn_constructor_kwargs={"payload_col": payload_col},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=(1, concurrency),
-        num_cpus=1,
+        AudioFeatureStage(payload_col), batch_format="pyarrow", batch_size=64
     )
 
 
 class FrameSampleStage:
-    """Actor-pool stage: RBMP frame-stream payload column -> per-video
-    sampled-frame stats (every-k temporal sampling): total frame count,
-    sampled count, and the integer ink sum over the sampled frames —
-    the actor shape a real frame-embedding stage would have (decode
-    once per payload in the actor, aggregate in-kernel).  Non-RBMP
+    """RBMP frame-stream payload column -> per-video sampled-frame stats
+    (every-k temporal sampling): total frame count, sampled count, and
+    the integer ink sum over the sampled frames — the stand-in for a
+    frame-embedding stage (decode once per payload, aggregate
+    in-kernel).  Non-RBMP
     payloads emit typed error columns (the ffmpeg-less stub contract,
     see ``frame_sample``)."""
 
@@ -363,15 +345,10 @@ class FrameSampleStage:
         return out
 
 
-def frame_stats_pipeline(ds, payload_col: str = "video", every_k: int = 2, concurrency: int = 4):
+def frame_stats_pipeline(ds, payload_col: str = "video", every_k: int = 2):
     ensure_worker_importable()
     return ds.map_batches(
-        FrameSampleStage,
-        fn_constructor_kwargs={"payload_col": payload_col, "every_k": every_k},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=(1, concurrency),
-        num_cpus=1,
+        FrameSampleStage(payload_col, every_k), batch_format="pyarrow", batch_size=64
     )
 
 

@@ -30,7 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from rapidocr_ray.functions.hashing import _stable_hash64
-from rapidocr_ray.util import ensure_worker_importable
+from rapidocr_ray.util import broadcast_get, ensure_worker_importable
 
 _MG_BUCKETS = 64
 
@@ -139,7 +139,7 @@ def misra_gries_heavy_hitters(ds, text_col: str = "text", m: int = 4096,
     )
 
     def exact_partial(batch: pa.Table) -> pa.Table:
-        cset = ray.get(cand_ref)
+        cset = broadcast_get(cand_ref)
         toks = pc.list_flatten(pc.split_pattern(batch.column(text_col), " "))
         if len(toks) == 0:
             return exact_schema.empty_table()

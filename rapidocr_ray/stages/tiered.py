@@ -9,8 +9,9 @@ answer by construction:
 
 - **broadcast** (count table rows <= ``BROADCAST_LIMIT``): the table is
   collected once, turned into ``(key index, [V, k] int64 values)``,
-  ``ray.put`` once and read through one worker LRU; every doc batch is
-  scored with one gather plus one offset-cumsum segment sum.
+  ``ray.put`` once and read once per worker process
+  (``util.broadcast_get``); every doc batch is scored with one gather
+  plus one offset-cumsum segment sum.
 - **bucketed** (over the limit): the table never reaches the driver.
   Key rows (values computed per batch with the same formula) and the
   exploded key instances meet in crc32(key) buckets, tagged by an
@@ -42,7 +43,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from rapidocr_ray.functions.hashing import crc_bucket
-from rapidocr_ray.util import lru_cache_get, stack_list_column
+from rapidocr_ray.util import broadcast_get, stack_list_column
 
 # count-table rows above which the bucketed tier runs; read at call
 # time, so tests force a tier by monkeypatching this constant
@@ -52,8 +53,6 @@ N_BUCKETS = 64
 # row kinds of the two tagged unions of the bucketed tier
 KEY_ROW, INSTANCE_ROW = 0, 1  # key-bucketed attach
 PARTIAL_ROW, DOC_ROW = 0, 1  # doc-bucketed merge
-
-_TABLE_CACHE: dict = {}
 
 
 def doc_bucket(ids, n_buckets: int = N_BUCKETS) -> pa.Array:
@@ -141,7 +140,7 @@ def _broadcast(docs, keys_of, counts, lp, finish, totals):
     ref = ray.put((index, vals))
 
     def score(batch: pa.Table) -> pa.Table:
-        idx, v = lru_cache_get(_TABLE_CACHE, ref.hex(), lambda: ray.get(ref))
+        idx, v = broadcast_get(ref)
         keys, lens = keys_of(batch)
         per = v[_positions(idx, keys)]
         cs = np.concatenate(

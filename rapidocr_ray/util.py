@@ -5,8 +5,11 @@ any working directory; Ray worker processes then cannot import
 ``rapidocr_ray`` by module path unless the repo root happens to be on
 their ``sys.path``.  ``ensure_worker_importable()`` registers every
 loaded ``rapidocr_ray*`` module for cloudpickle by-value serialization,
-so tasks/actors ship their own code (a few tens of KB, once per actor)
-instead of relying on an import that may fail on the worker.
+so tasks ship their own code (a few tens of KB per task) instead of
+relying on an import that may fail on the worker.  State that must
+outlive one task (model registries, broadcast reads) lives in
+``process_cache``; worker code reads every broadcast through
+``broadcast_get``.
 
 Idempotent; called at pipeline-build time by pipelines/extract.py and
 pipelines/queries.py.  No ray.init here (session belongs to the
@@ -67,11 +70,12 @@ def session_cpus() -> int:
 
 
 def lru_cache_get(cache: dict, key, build, maxsize: int = 4):
-    """Tiny per-worker broadcast LRU: keep up to ``maxsize`` broadcast
-    objects alive per worker instead of clear-on-new-key, so two dedup
-    jobs sharing a worker pool don't thrash each other's signature
-    matrix / winner map rebuilds (ADVICE r3).  Plain dict insertion
-    order is the recency order (re-insert on hit)."""
+    """LRU over a plain dict: keep up to ``maxsize`` values alive, so
+    two jobs that share a worker process do not thrash each other's
+    rebuilds (ADVICE r3).  Dict insertion order is the recency order
+    (re-insert on hit).  The per-process caches are ``process_cache``
+    dicts: the model registries and the one broadcast cache of
+    ``broadcast_get``."""
     if key in cache:
         val = cache.pop(key)  # move to most-recent position
         cache[key] = val
@@ -93,11 +97,40 @@ def process_cache(name: str) -> dict:
     (``ensure_worker_importable``) unpickles with a fresh copy of every
     global it references, once per task, so such a dict starts empty in
     each task.  This one hangs off a placeholder module in
-    ``sys.modules``, which every unpickled copy of the code shares."""
+    ``sys.modules``, which every unpickled copy of the code shares.
+    Its users: ``"model_registries"`` (``CascadeStage``) and
+    ``"broadcasts"`` (``broadcast_get``)."""
     state = sys.modules.get(_PROCESS_STATE)
     if state is None:
         state = sys.modules.setdefault(_PROCESS_STATE, types.ModuleType(_PROCESS_STATE))
     return vars(state).setdefault(name, {})
+
+
+def broadcast_get(ref_or_refs, build=None):
+    """The value of a broadcast object ref, read once per worker process.
+
+    ``ref_or_refs`` is one ``ObjectRef`` or a list of block refs;
+    ``build`` (optional) turns the fetched value (the list of values
+    for a list of refs) into the object the caller works with, e.g.
+    ``pd.Series`` or a sorted index.  The result is kept in the one
+    process-wide LRU ``process_cache("broadcasts")``, keyed by the ref's
+    hex (the tuple of hexes for a list), with ``lru_cache_get``'s bound:
+    later batches and tasks in the same process reuse it, and zero-copy
+    arrays in it keep their object-store buffers mapped until evicted.
+    One ref is read with one ``build``.  Worker code reads every
+    broadcast through here, never with a bare per-batch ``ray.get``."""
+    import ray
+
+    if isinstance(ref_or_refs, list):
+        key = tuple(r.hex() for r in ref_or_refs)
+    else:
+        key = ref_or_refs.hex()
+
+    def fetch():
+        value = ray.get(ref_or_refs)
+        return value if build is None else build(value)
+
+    return lru_cache_get(process_cache("broadcasts"), key, fetch)
 
 
 def stack_list_column(col, dtype=np.float64) -> np.ndarray:

@@ -40,3 +40,53 @@ def test_no_sign_sentinel_row_kinds_in_queries():
         if re.search(r"\b(doc_id|event_id)\s*(<|>=)\s*0\b", line)
     ]
     assert not bad, "sign-sentinel row kinds:\n" + "\n".join(bad)
+
+
+def test_no_module_caches_actor_pools_or_worker_ray_get():
+    """Per-process state lives in ``util.process_cache`` and broadcasts
+    are read through ``util.broadcast_get``: a module-level ``_*CACHE``
+    dict is a fresh copy in every task of code shipped by value, an
+    actor pool (``concurrency=``, ``fn_constructor_kwargs``) is a plan
+    the engine no longer has, and a ``ray.get`` inside a function that
+    ``map_batches`` / ``map_groups`` runs re-reads its broadcast on every
+    batch."""
+    import ast
+
+    bad = []
+    for p in sorted(PKG.rglob("*.py")):
+        rel = p.relative_to(PKG.parent)
+        src = p.read_text()
+        for i, line in enumerate(src.splitlines(), 1):
+            if "concurrency=" in line or "fn_constructor_kwargs" in line:
+                bad.append(f"{rel}:{i}: actor pool: {line.strip()}")
+        tree = ast.parse(src)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(
+                node.value, (ast.Dict, ast.Call)
+            ):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for t in targets:
+                    if isinstance(t, ast.Name) and re.fullmatch(r"_\w*CACHE", t.id):
+                        bad.append(f"{rel}:{node.lineno}: module cache dict {t.id}")
+        mapped = {
+            c.args[0].id
+            for c in ast.walk(tree)
+            if isinstance(c, ast.Call)
+            and isinstance(c.func, ast.Attribute)
+            and c.func.attr in ("map_batches", "map_groups")
+            and c.args
+            and isinstance(c.args[0], ast.Name)
+        }
+        for fn in ast.walk(tree):
+            if not (isinstance(fn, ast.FunctionDef) and fn.name in mapped):
+                continue
+            for n in ast.walk(fn):
+                if (
+                    isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "get"
+                    and isinstance(n.func.value, ast.Name)
+                    and n.func.value.id in ("ray", "_ray")
+                ):
+                    bad.append(f"{rel}:{n.lineno}: ray.get in {fn.name}")
+    assert not bad, "\n".join(sorted(set(bad)))
