@@ -30,15 +30,10 @@ Scale notes (SURVEY.md §4, §7.3):
 
 from __future__ import annotations
 
-from functools import partial
-from typing import NamedTuple
-
-import pyarrow as pa
 import ray.data
-from ray.data.block import BlockMetadata
-from ray.data.datasource import ReadTask
 
 from rapidocr_ray.config import PipelineConfig
+from rapidocr_ray.sources.parquet import group_runs, read_footers, read_plan, set_block_size
 from rapidocr_ray.util import (
     broadcast_get,
     ensure_worker_importable,
@@ -128,7 +123,11 @@ def dedup_by_url(
     plan automatically (identical output when (url, warc_ts) is unique
     — covered by tests), so the default is scale-safe rather than an
     error.  Sharding inputs by url (the resumable runner's layout)
-    keeps the faster broadcast plan applicable per shard."""
+    keeps the faster broadcast plan applicable per shard.
+
+    ``winners_files`` names the parquet files that ``ds`` reads
+    (``read_pages(winners_files)``): the winners are read from them
+    directly, and the read's planned row count bounds the urls."""
     ensure_worker_importable()
     if strict:
         return (
@@ -149,7 +148,6 @@ def dedup_by_url(
     import numpy as np
     import pyarrow as _pa
     import pyarrow.compute as _pc
-    import pyarrow.parquet as _pq
 
     if winners_files is not None and len(winners_files) == 0:
         # empty partition group: nothing to read winners from — fall
@@ -160,7 +158,7 @@ def dedup_by_url(
         # source-projection fast path, overlapped with pipeline build
         # (_winners_merge docstring); the winners map is read in the
         # first keep_winners call of each worker process.  Total row count
-        # (free footer scan) upper-bounds distinct urls: only when it
+        # (the read plan's) upper-bounds distinct urls: only when it
         # exceeds the broadcast limit must the driver wait for the
         # winners task to learn whether to fall back — the common
         # (bounded) case keeps the fully overlapped plan.
@@ -186,13 +184,12 @@ def dedup_by_url(
             _ray.remote(num_cpus=0)(_winners_merge)
             .remote(broadcast_limit, *partial_refs)
         )
-        # footer row counts on the driver: read_pages reads the same
-        # footers there, so a remote fan-out would save the driver
-        # nothing and put a task round trip (queued behind the winners
-        # readers) before each job's first task.  The column reads
-        # above are NOT blocked on.
-        rows_upper_bound = sum(_pq.read_metadata(f).num_rows for f in winners_files)
-        if rows_upper_bound > broadcast_limit:
+        # the read's planned row count: ``ds`` reads ``winners_files``
+        # (read_pages), whose read tasks carry their footer row counts,
+        # so count() answers from that metadata without running
+        # anything or opening a footer again.  The column reads above
+        # are NOT blocked on.
+        if ds.count() > broadcast_limit:
             if _ray.get(ref) is None:  # over-limit sentinel
                 return dedup_by_url(ds, strict=True)
     else:
@@ -276,26 +273,6 @@ def dedup_by_url(
 DEFAULT_ROWS_PER_BLOCK = 128
 
 
-# Floor of the block size told to Ray.  Below ~1 MiB the first-wave
-# output guess (2 x target_max_block_size per task) is negligible
-# against the object store either way, and a floor keeps Ray from
-# slicing a stage's output that grows a little past its input (a PDF
-# page re-wrapped as a raster, say).
-MIN_TARGET_BLOCK_BYTES = 1 << 20
-
-
-def _set_block_size(ds: "ray.data.Dataset", largest_block_bytes: int) -> "ray.data.Dataset":
-    """Tell the Dataset how big its blocks really are.  Before a task
-    has finished, Ray guesses every task's output at 2 x
-    ``target_max_block_size`` (128 MiB by default), so on a 512 MiB
-    object store the first wave of a job is one task.  With the real
-    (largest) block size the first wave fills every CPU.  The value is
-    never below the largest block: with a smaller one Ray would split
-    the read's blocks again, and the split ends the fusion."""
-    ds.context.target_max_block_size = max(MIN_TARGET_BLOCK_BYTES, largest_block_bytes)
-    return ds
-
-
 def build_extract_pipeline(
     ds: "ray.data.Dataset",
     cfg: PipelineConfig | None = None,
@@ -314,7 +291,7 @@ def build_extract_pipeline(
     # is free and streaming: footer-planned row-group runs via
     # read_pages, or a sliced from_arrow via extract_pages_table.  Both
     # also set the Dataset's target_max_block_size to the real block
-    # size (_set_block_size).
+    # size (set_block_size).
     if dedup:
         ds = dedup_by_url(ds, winners_files=winners_files)
     # Both stages are callable INSTANCES over whole blocks: task-based
@@ -337,111 +314,15 @@ def extract_pages_table(table, cfg: PipelineConfig | None = None, dedup: bool = 
         table.slice(off, DEFAULT_ROWS_PER_BLOCK)
         for off in range(0, table.num_rows, DEFAULT_ROWS_PER_BLOCK)
     ] or [table]
-    ds = _set_block_size(ray.data.from_arrow(slices), max(t.nbytes for t in slices))
+    ds = set_block_size(ray.data.from_arrow(slices), max(t.nbytes for t in slices))
     return build_extract_pipeline(ds, cfg=cfg, dedup=dedup)
-
-
-def _read_row_groups(path: str, row_groups: list[int]):
-    """Body of one read task: a run of whole row groups of one file."""
-    import pyarrow.parquet as _pq
-
-    with _pq.ParquetFile(path) as pf:
-        return [pf.read_row_groups(row_groups, use_threads=False)]
-
-
-def row_group_runs(rows: list[int], rows_per_block: int) -> list[list[int]]:
-    """Split one file's row groups (their row counts, in order) into
-    contiguous runs of about ``rows_per_block`` rows.  The file gets
-    round(rows / rows_per_block) runs (at least one); each row group
-    joins the run its middle row falls in.  A row group is never split,
-    so a run can be longer than ``rows_per_block`` by up to one row
-    group.  A zero-row file has no run."""
-    total = sum(rows)
-    if total == 0:
-        return []
-    n_runs = max(1, int(total / rows_per_block + 0.5))
-    runs: list[list[int]] = []
-    start = 0
-    last = -1
-    for i, r in enumerate(rows):
-        k = min(n_runs - 1, int((start + r / 2) * n_runs / total))
-        if k != last:
-            runs.append([])
-            last = k
-        runs[-1].append(i)
-        start += r
-    return runs
-
-
-class ReadRun(NamedTuple):
-    """One planned read task: whole row groups of one file."""
-
-    path: str
-    row_groups: list[int]
-    num_rows: int
-    size_bytes: int  # uncompressed, from the footer
-    schema: "pa.Schema"
-
-
-class PageFilesSource(ray.data.Datasource):
-    """Page parquet files as read tasks planned from their footers.
-
-    Each ``ReadTask`` reads one ``ReadRun`` (``row_group_runs``) with
-    ``ParquetFile.read_row_groups``, and its ``BlockMetadata`` carries
-    the run's exact row count and uncompressed bytes.  The footers are
-    read once, here: no sampling tasks, no second pass.  A zero-row
-    file gets no task; when every file is empty, the first one's empty
-    read is the only task, so the Dataset keeps the files' schema.
-    Hive-style partition directories add no columns."""
-
-    def __init__(self, files: list[str], rows_per_block: int):
-        import pyarrow.parquet as _pq
-
-        if not files:
-            raise ValueError("read_pages: no input files")
-        self.plan: list[ReadRun] = []
-        for path in files:
-            with _pq.ParquetFile(path) as pf:
-                md = pf.metadata
-                schema = pf.schema_arrow
-            groups = [md.row_group(i) for i in range(md.num_row_groups)]
-            for run in row_group_runs([g.num_rows for g in groups], rows_per_block):
-                rows = sum(groups[i].num_rows for i in run)
-                size = sum(groups[i].total_byte_size for i in run)
-                self.plan.append(ReadRun(path, run, rows, size, schema))
-        if not self.plan:
-            with _pq.ParquetFile(files[0]) as pf:
-                self.plan.append(ReadRun(files[0], [], 0, 0, pf.schema_arrow))
-
-    def get_name(self) -> str:
-        # the operator is then named ReadParquet..., like read_parquet's
-        return "Parquet"
-
-    def estimate_inmemory_data_size(self) -> int:
-        return sum(run.size_bytes for run in self.plan)
-
-    def get_read_tasks(self, parallelism: int) -> list:
-        # the plan is fixed by the footers; read_pages asks for exactly
-        # len(self.plan) blocks, so ``parallelism`` always equals it
-        return [
-            ReadTask(
-                partial(_read_row_groups, run.path, run.row_groups),
-                BlockMetadata(
-                    num_rows=run.num_rows,
-                    size_bytes=run.size_bytes,
-                    input_files=[run.path],
-                    exec_stats=None,
-                ),
-                schema=run.schema,
-            )
-            for run in self.plan
-        ]
 
 
 def read_pages(files: list[str], rows_per_block: int = DEFAULT_ROWS_PER_BLOCK):
     """Page parquet files -> Dataset of one block per read task, planned
-    from the files' footers (``PageFilesSource``): each task is a run of
-    whole row groups of about ``rows_per_block`` rows of one file.
+    from the files' footers (``sources.parquet.group_runs``): each task
+    is a run of whole row groups of about ``rows_per_block`` rows of one
+    file.
 
     Ray is asked for exactly as many blocks as there are read tasks, so
     the read fuses with the extraction maps into one task per block on
@@ -449,15 +330,13 @@ def read_pages(files: list[str], rows_per_block: int = DEFAULT_ROWS_PER_BLOCK):
     a ``SplitBlocks`` operator after the read, which ends the fusion and
     sends every payload block through the object store.  The Dataset's
     ``target_max_block_size`` is the largest task's bytes
-    (``_set_block_size``).
+    (``set_block_size``).
 
     Blocks can only end at row-group boundaries: write sources with
     small row groups (``sources.pages.write_pages_parquet``,
-    ``row_group_size=64``).  The 128-row default was chosen on the det
-    corpus at 32 CPUs with the earlier actor-pool plan (64 -> 48.3 s,
-    128 -> 28.9 s, 256 -> 35.1 s) and has not been re-measured on the
-    fused plan."""
-    ensure_worker_importable()
-    src = PageFilesSource(files, max(1, rows_per_block))
-    ds = ray.data.read_datasource(src, override_num_blocks=len(src.plan))
-    return _set_block_size(ds, max(run.size_bytes for run in src.plan))
+    ``row_group_size=64``).  The 128-row default was chosen on the
+    earlier actor-pool plan and has not been re-measured on the fused
+    plan."""
+    footers = read_footers(files, None)
+    plan = [run for f in footers for run in group_runs(f, rows_per_block)]
+    return read_plan(plan, footers, None)

@@ -35,19 +35,13 @@ from rapidocr_ray.functions.textstats import (
     quality_stats_batch,
     rolling_fingerprint,
 )
+from rapidocr_ray.sources.parquet import read_table
 from rapidocr_ray.stages.tiered import count_table, doc_bucket, keyed_sum
-from rapidocr_ray.util import (
-    broadcast_get,
-    ensure_worker_importable,
-    stack_list_column,
-)
+from rapidocr_ray.util import broadcast_get, stack_list_column
 
 
 def _read(sf_dir: str, table: str, columns=None):
-    import ray.data
-
-    ensure_worker_importable()
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+    return read_table(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 def _cents(x: np.ndarray) -> np.ndarray:

@@ -36,6 +36,7 @@ from rapidocr_ray.functions.html import make_page_html
 # module by VALUE via ensure_worker_importable, where a runtime
 # `import rapidocr_ray...` inside a function body cannot resolve
 from rapidocr_ray.functions.pdf import encode_pdf_scanned, encode_pdf_text
+from rapidocr_ray.sources.parquet import file_tasks, read_footers, read_plan
 
 PAGES_SCHEMA = pa.schema(
     [
@@ -46,6 +47,9 @@ PAGES_SCHEMA = pa.schema(
         ("lang", pa.string()),
     ]
 )
+
+# the documents columns the page synthesizers read
+DOCUMENT_COLUMNS = ["doc_id", "text", "lang"]
 
 _BASE_TS = _dt.datetime(2026, 1, 1, 0, 0, 0)
 
@@ -64,24 +68,25 @@ def doc_url(doc_id: int) -> str:
     return f"https://docs.example/{doc_id}"
 
 
+def documents_ds(sf_dir: str, rows_per_block: int):
+    """``documents.parquet`` pruned to the (doc_id, text, lang) columns
+    the page synthesizers consume, as rows // ``rows_per_block`` read
+    tasks (at least one; row ranges of its row groups,
+    ``sources.parquet.file_tasks``).  Ray gets exactly that many
+    blocks, so the read fuses with the synthesis map that follows."""
+    (f,) = read_footers([f"{sf_dir}/documents.parquet"], DOCUMENT_COLUMNS)
+    n_tasks = max(1, sum(f.rows) // max(1, rows_per_block))
+    return read_plan(file_tasks(f, n_tasks), [f], DOCUMENT_COLUMNS)
+
+
 def pages_ds_from_documents(sf_dir: str, rows_per_block: int = 128):
     """Distributed pages synthesis: documents.parquet read as a Dataset
     (pruned to the three consumed columns) with payload rendering inside
     map_batches — the flagship input is never materialized driver-side,
     matching how a real pages table would stream straight off storage."""
-    import pyarrow.parquet as pq
-    import ray.data
-
-    from rapidocr_ray.util import ensure_worker_importable
-
-    ensure_worker_importable()
-    path = f"{sf_dir}/documents.parquet"
-    total = pq.ParquetFile(path).metadata.num_rows
-    n_blocks = max(1, total // max(1, rows_per_block))
-    ds = ray.data.read_parquet(
-        path, columns=["doc_id", "text", "lang"], override_num_blocks=n_blocks
+    return documents_ds(sf_dir, rows_per_block).map_batches(
+        pages_from_documents, batch_format="pyarrow"
     )
-    return ds.map_batches(pages_from_documents, batch_format="pyarrow")
 
 
 def pages_from_documents(doc_table: pa.Table) -> pa.Table:
@@ -196,9 +201,9 @@ def write_pages_parquet(
     resumable runner's partitioning, state/manifest.py).
 
     Small row groups matter: row groups are the split points of
-    ``read_pages`` (pipelines/extract.py::PageFilesSource), which reads
-    each file as runs of whole row groups, one block each, so
-    cascade-sized row groups give fine-grained tasks without a
+    ``read_pages`` (pipelines/extract.py, ``sources.parquet.group_runs``),
+    which reads each file as runs of whole row groups, one block each,
+    so cascade-sized row groups give fine-grained tasks without a
     repartition barrier."""
     import os
 
@@ -272,16 +277,6 @@ def pdf_pages_from_documents(doc_table: pa.Table) -> pa.Table:
 def pdf_pages_ds_from_documents(sf_dir: str, rows_per_block: int = 128):
     """Distributed variant of pdf_pages_from_documents (same shape as
     pages_ds_from_documents: pruned read, synthesis inside the task)."""
-    import pyarrow.parquet as pq
-    import ray.data
-
-    from rapidocr_ray.util import ensure_worker_importable
-
-    ensure_worker_importable()
-    path = f"{sf_dir}/documents.parquet"
-    total = pq.ParquetFile(path).metadata.num_rows
-    n_blocks = max(1, total // max(1, rows_per_block))
-    ds = ray.data.read_parquet(
-        path, columns=["doc_id", "text", "lang"], override_num_blocks=n_blocks
+    return documents_ds(sf_dir, rows_per_block).map_batches(
+        pdf_pages_from_documents, batch_format="pyarrow"
     )
-    return ds.map_batches(pdf_pages_from_documents, batch_format="pyarrow")

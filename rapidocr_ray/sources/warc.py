@@ -245,19 +245,9 @@ def warc_pages_ds_from_documents(sf_dir: str, rows_per_block: int = 128):
     WARC, parse it back, and emit (url, warc_ts, html) — so the whole
     container layer (HTTP block, record framing, per-record gzip
     members) sits INSIDE the hash-checked extraction flow."""
-    import pyarrow.parquet as pq
-    import ray.data
+    from rapidocr_ray.sources.pages import documents_ds, pages_from_documents
 
-    from rapidocr_ray.sources.pages import pages_from_documents
-    from rapidocr_ray.util import ensure_worker_importable
-
-    ensure_worker_importable()
-    path = f"{sf_dir}/documents.parquet"
-    total = pq.ParquetFile(path).metadata.num_rows
-    n_blocks = max(1, total // max(1, rows_per_block))
-    ds = ray.data.read_parquet(
-        path, columns=["doc_id", "text", "lang"], override_num_blocks=n_blocks
-    )
+    ds = documents_ds(sf_dir, rows_per_block)
 
     def to_warc_and_back(batch: pa.Table) -> pa.Table:
         pages = pages_from_documents(batch)

@@ -26,6 +26,7 @@ import pyarrow as pa
 # function fails off-repo-CWD
 from rapidocr_ray.functions.hashing import crc_bucket
 from rapidocr_ray.glyphs import GLYPH_H, GLYPHS, render_line
+from rapidocr_ray.sources.parquet import read_table
 
 BOX_GRAY = 128
 
@@ -214,7 +215,8 @@ def read_bucketed_parquet(out_dir: str, bucket: int):
     leave storage).  A bucket that received no rows has no directory
     (hive layout); it reads as an empty, schema-less dataset rather
     than FileNotFoundError so the iterate-all-buckets consumer pattern
-    survives skew and small inputs."""
+    survives skew and small inputs.  The files are read as written: the
+    ``bucket=NN`` directory name adds no column."""
     import os
 
     import ray.data
@@ -222,4 +224,4 @@ def read_bucketed_parquet(out_dir: str, bucket: int):
     path = f"{out_dir}/bucket={bucket}"
     if not os.path.isdir(path):
         return ray.data.from_arrow(pa.table({}))
-    return ray.data.read_parquet(path)
+    return read_table(path, None)

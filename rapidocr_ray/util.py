@@ -29,8 +29,9 @@ _registered: set[str] = set()
 def harden_lazy_imports() -> None:
     """Make Ray Data's lazy fsspec-http probe thread-safe.
 
-    ``read_parquet``/``write_parquet`` path resolution calls
-    ``_is_http_filesystem``, which does a lazy
+    Only ``write_parquet`` still resolves paths through Ray: every read
+    goes through ``sources/parquet.py``, which opens the files itself.
+    That resolution calls ``_is_http_filesystem``, which does a lazy
     ``from fsspec.implementations.http import HTTPFileSystem`` guarded
     only by ``except ModuleNotFoundError``.  In this environment that
     import always fails (no aiohttp) — fine single-threaded, but when

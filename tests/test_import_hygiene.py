@@ -90,3 +90,17 @@ def test_no_module_caches_actor_pools_or_worker_ray_get():
                 ):
                     bad.append(f"{rel}:{n.lineno}: ray.get in {fn.name}")
     assert not bad, "\n".join(sorted(set(bad)))
+
+
+def test_every_parquet_read_goes_through_the_planned_reader():
+    """Parquet tables are read by ``sources/parquet.py``, whose read
+    tasks are planned from the footers and fuse into the first map; a
+    ``read_parquet(`` call brings back Ray's default block count and
+    its unfused ``ReadParquet->SplitBlocks`` operator."""
+    bad = [
+        f"{p.relative_to(PKG.parent)}:{i}: {line.strip()}"
+        for p in sorted(PKG.rglob("*.py"))
+        for i, line in enumerate(p.read_text().splitlines(), 1)
+        if "read_parquet(" in line
+    ]
+    assert not bad, "read_parquet outside the planned reader:\n" + "\n".join(bad)

@@ -52,6 +52,36 @@ def test_resume_skips_finished(ray_session, sharded_input, tmp_path):
     assert second["row_count"] == first["row_count"]
 
 
+def test_each_input_footer_opens_once_per_partition(
+    ray_session, sharded_input, tmp_path, monkeypatch
+):
+    """The driver opens each input file's footer once per partition:
+    read_pages plans from it, and the winners pass takes its url bound
+    from that plan's row counts instead of reading the footers again."""
+    import pyarrow.parquet as pq
+
+    opened = []
+
+    class CountingParquetFile(pq.ParquetFile):
+        def __init__(self, source, *args, **kwargs):
+            opened.append(str(source))
+            super().__init__(source, *args, **kwargs)
+
+    def counting(read):
+        def wrapped(where, *args, **kwargs):
+            opened.append(str(where))
+            return read(where, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(pq, "ParquetFile", CountingParquetFile)
+    for name in ("read_metadata", "read_schema"):
+        monkeypatch.setattr(pq, name, counting(getattr(pq, name)))
+    report = mf.run_resumable(sharded_input, str(tmp_path / "out"), files_per_partition=2)
+    assert report["n_partitions"] == 2 and report["row_count"] > 0
+    assert sorted(p for p in opened if p in sharded_input) == sorted(sharded_input)
+
+
 def test_partial_tmp_dir_not_counted(tmp_path):
     out = str(tmp_path / "out")
     os.makedirs(os.path.join(out, "part-00007.tmp"))

@@ -344,16 +344,13 @@ def test_read_fuses_when_blocks_outnumber_files(ray_session, tmp_path):
     the largest read task's bytes, not Ray's 128 MiB default."""
     from ray.data import DataContext
 
-    from rapidocr_ray.pipelines.extract import (
-        PageFilesSource,
-        build_extract_pipeline,
-        read_pages,
-    )
+    from rapidocr_ray.pipelines.extract import build_extract_pipeline, read_pages
     from rapidocr_ray.sources.pages import write_pages_parquet
+    from rapidocr_ray.sources.parquet import group_runs, read_footers
 
     pages = synth_pages(60, seed=5)
     files = write_pages_parquet(pages, str(tmp_path), n_files=2, row_group_size=4)
-    plan = PageFilesSource(files, 8).plan
+    plan = [run for f in read_footers(files, None) for run in group_runs(f, 8)]
     assert len(plan) > len(files)
     ds = build_extract_pipeline(read_pages(files, rows_per_block=8), winners_files=files)
     ds = ds.materialize()

@@ -1,16 +1,28 @@
-"""read_pages plans its read tasks from parquet footers: whole row
-groups of one file per task, about ``rows_per_block`` rows each.  The
-tasks are run here in-process (a ``ReadTask`` is a callable), so the
-planning is checked without a Ray session."""
+"""Every parquet read is planned from the file footers
+(``sources/parquet.py``): runs of whole row groups of one file, or row
+ranges of one row group.  The tasks are run here in-process (a
+``ReadTask`` is a callable), so the planning is checked without a Ray
+session, except where a test names ``ray_session``."""
 
+import math
 import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from rapidocr_ray.pipelines.extract import PageFilesSource, read_pages, row_group_runs
-from rapidocr_ray.sources.pages import PAGES_SCHEMA, synth_pages
+from rapidocr_ray.pipelines.extract import DEFAULT_ROWS_PER_BLOCK, read_pages
+from rapidocr_ray.sources import parquet
+from rapidocr_ray.sources.pages import PAGES_SCHEMA, synth_pages, write_pages_parquet
+from rapidocr_ray.sources.parquet import (
+    ParquetSource,
+    byte_task_count,
+    file_tasks,
+    group_runs,
+    read_footers,
+    row_group_runs,
+    table_plan,
+)
 
 
 def _write(path: str, table: pa.Table, row_groups: list[int]) -> str:
@@ -24,6 +36,17 @@ def _write(path: str, table: pa.Table, row_groups: list[int]) -> str:
     return path
 
 
+def _page_tasks(files: list[str], rows_per_block: int) -> list:
+    footers = read_footers(files, None)
+    plan = [run for f in footers for run in group_runs(f, rows_per_block)]
+    return ParquetSource(plan, footers, None).get_read_tasks(0)
+
+
+def _run_all(plan, footers, columns=None) -> pa.Table:
+    tasks = ParquetSource(plan, footers, columns).get_read_tasks(0)
+    return pa.concat_tables([b for task in tasks for b in task()])
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("pages")
@@ -34,6 +57,23 @@ def files(tmp_path_factory):
         _write(os.path.join(d, "b.parquet"), PAGES_SCHEMA.empty_table(), [0]),
         _write(os.path.join(d, "c.parquet"), pages.slice(132, 64), [16, 16, 16, 16]),
     ]
+
+
+@pytest.fixture(scope="module")
+def docs(tmp_path_factory):
+    """A documents-like table in one row group and in eight."""
+    d = tmp_path_factory.mktemp("docs")
+    n = 203
+    table = pa.table(
+        {
+            "doc_id": pa.array(range(n), type=pa.int64()),
+            "text": [f"word {i} " * (i % 7 + 1) for i in range(n)],
+            "lang": ["en", "de", "fr"] * 67 + ["en", "de"],
+        }
+    )
+    one = _write(os.path.join(d, "one.parquet"), table, [n])
+    many = _write(os.path.join(d, "many.parquet"), table, [25] * 7 + [28])
+    return table, one, many
 
 
 def test_row_group_runs():
@@ -52,7 +92,7 @@ def test_row_group_runs():
 
 
 def test_read_tasks_cover_the_files_in_order(files):
-    tasks = PageFilesSource(files, 32).get_read_tasks(0)
+    tasks = _page_tasks(files, 32)
     footers = {f: pq.ParquetFile(f).metadata for f in files}
     got = []
     offsets = {f: 0 for f in files}
@@ -88,6 +128,173 @@ def test_read_pages_edge_inputs(files):
     with pytest.raises(ValueError):
         read_pages([])
     # every file empty: one empty task keeps the files' schema
-    (task,) = PageFilesSource([files[1]], 32).get_read_tasks(0)
+    (task,) = _page_tasks([files[1]], 32)
     (block,) = list(task())
     assert block.num_rows == 0 and block.schema == PAGES_SCHEMA
+
+
+def _parent_page_plan(files: list[str], rows_per_block: int) -> list[tuple]:
+    """The extraction read's plan before the shared reader, kept verbatim
+    (row-group runs of round(rows / rows_per_block) per file, bytes from
+    the row groups' total_byte_size): read_pages must not move."""
+
+    def runs_of(rows):
+        total = sum(rows)
+        if total == 0:
+            return []
+        n_runs = max(1, int(total / rows_per_block + 0.5))
+        runs, start, last = [], 0, -1
+        for i, r in enumerate(rows):
+            k = min(n_runs - 1, int((start + r / 2) * n_runs / total))
+            if k != last:
+                runs.append([])
+                last = k
+            runs[-1].append(i)
+            start += r
+        return runs
+
+    plan = []
+    for path in files:
+        md = pq.ParquetFile(path).metadata
+        groups = [md.row_group(i) for i in range(md.num_row_groups)]
+        for run in runs_of([g.num_rows for g in groups]):
+            rows = sum(groups[i].num_rows for i in run)
+            size = sum(groups[i].total_byte_size for i in run)
+            plan.append((path, run, rows, size))
+    return plan
+
+
+def test_read_pages_plan_is_unchanged(files, tmp_path):
+    """read_pages gives the same tasks, row-group runs, rows and bytes
+    as the extraction read's own footer plan did before every table
+    moved onto the shared reader: on the test files above and on crawl
+    shards as the resumable runner writes them (64-row groups)."""
+    shards = write_pages_parquet(synth_pages(700, seed=9), str(tmp_path), n_files=3)
+    for inputs, rows_per_block in ((files, 32), (shards, DEFAULT_ROWS_PER_BLOCK), (shards, 100)):
+        footers = read_footers(inputs, None)
+        got = [
+            (run.path, run.row_groups, run.num_rows, run.size_bytes)
+            for f in footers
+            for run in group_runs(f, rows_per_block)
+        ]
+        assert got == _parent_page_plan(inputs, rows_per_block)
+        assert all(run.offset is None for f in footers for run in group_runs(f, rows_per_block))
+
+
+def test_one_row_group_splits_into_row_ranges(docs):
+    table, one, _many = docs
+    (f,) = read_footers([one], None)
+    plan = file_tasks(f, 4)
+    # four ranges of the one row group, equal to a row, in order
+    assert [run.row_groups for run in plan] == [[0]] * 4
+    assert [(run.offset, run.num_rows) for run in plan] == [(0, 50), (50, 51), (101, 51), (152, 51)]
+    # each range carries its share of the group's footer bytes
+    assert all(run.size_bytes == f.sizes[0] * run.num_rows // 203 for run in plan)
+    got = _run_all(plan, [f])
+    assert got.equals(pq.read_table(one))
+    # never more tasks than rows
+    assert len(file_tasks(f, 10_000)) == 203
+
+
+def test_multi_row_group_file_is_planned_in_whole_group_runs(docs):
+    table, _one, many = docs
+    (f,) = read_footers([many], None)
+    plan = file_tasks(f, 4)
+    assert [run.row_groups for run in plan] == [[0, 1], [2, 3], [4, 5], [6, 7]]
+    assert all(run.offset is None for run in plan)
+    assert [run.num_rows for run in plan] == [50, 50, 50, 53]
+    assert _run_all(plan, [f]).equals(pq.read_table(many))
+    # more tasks than row groups: ranges of each group instead
+    plan = file_tasks(f, 16)
+    assert len(plan) == 16 and all(len(run.row_groups) == 1 for run in plan)
+    assert _run_all(plan, [f]).equals(pq.read_table(many))
+
+
+@pytest.mark.parametrize("columns", [["text", "doc_id"], ["lang"], None])
+def test_projected_reads_equal_read_table(docs, columns):
+    _table, one, many = docs
+    for path, n in ((one, 3), (many, 3), (many, 11)):
+        (f,) = read_footers([path], columns)
+        want = pq.read_table(path, columns=columns)
+        assert f.schema == want.schema
+        got = _run_all(file_tasks(f, n), [f], columns)
+        assert got.schema == want.schema and got.equals(want)
+        # the plan's bytes are the projected columns' only
+        md = pq.ParquetFile(path).metadata
+        names = set(want.schema.names)
+        assert sum(f.sizes) == sum(
+            md.row_group(i).column(j).total_uncompressed_size
+            for i in range(md.num_row_groups)
+            for j in range(md.num_columns)
+            if md.row_group(i).column(j).path_in_schema in names
+        )
+    if columns is not None:
+        (full,) = read_footers([one], None)
+        (proj,) = read_footers([one], columns)
+        assert sum(proj.sizes) < sum(full.sizes)
+
+
+def test_zero_row_file_keeps_its_projected_schema(tmp_path):
+    table = pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())})
+    path = _write(str(tmp_path / "empty.parquet"), table, [0])
+    (f,) = read_footers([path], ["text"])
+    assert file_tasks(f, 4) == [] and table_plan([f]) == []
+    (task,) = ParquetSource([], [f], ["text"]).get_read_tasks(0)
+    (block,) = list(task())
+    assert block.num_rows == 0
+    assert block.schema == pq.read_table(path, columns=["text"]).schema
+
+
+def test_byte_rule(monkeypatch):
+    """Ray's read sizing without its 2 x CPUs step, capped at one wave:
+    max(ceil(B / max_block), min(CPUs, ceil(B / min_block)), 1)."""
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current().copy()
+    ctx.target_min_block_size = 1 << 20
+    ctx.target_max_block_size = 128 << 20
+    monkeypatch.setattr(DataContext, "get_current", staticmethod(lambda: ctx))
+    monkeypatch.setattr(parquet, "session_cpus", lambda: 4)
+    mib = 1 << 20
+    assert byte_task_count(0) == 1
+    assert byte_task_count(1000) == 1  # tiny
+    assert byte_task_count(int(1.6 * mib)) == 2  # the curation table
+    assert byte_task_count(3 * mib + 1) == 4
+    assert byte_task_count(50 * mib) == 4  # capped at one wave
+    assert byte_task_count(1000 * mib) == math.ceil(1000 / 128)  # over max block
+    monkeypatch.setattr(parquet, "session_cpus", lambda: 16)
+    assert byte_task_count(50 * mib) == 16
+    ctx.target_max_block_size = 8 << 20
+    monkeypatch.setattr(parquet, "session_cpus", lambda: 2)
+    assert byte_task_count(50 * mib) == 7
+
+
+def test_bucket_directory_read_matches_read_parquet(ray_session, tmp_path):
+    import numpy as np
+    import ray.data
+
+    from rapidocr_ray.sources.writers import read_bucketed_parquet, write_bucketed_parquet
+
+    ids = np.arange(400, dtype=np.int64)
+    tbl = pa.table({"doc_id": ids, "v": ids * 3, "s": [f"x{i}" for i in ids]})
+    out = str(tmp_path / "bucketed")
+    # several blocks, so a bucket directory holds several files
+    write_bucketed_parquet(
+        ray.data.from_arrow([tbl.slice(i, 100) for i in range(0, 400, 100)]),
+        out,
+        key="doc_id",
+        n_buckets=4,
+    )
+    def table(ds):
+        return pa.concat_tables(ray_session.get(ds.to_arrow_refs()))
+
+    key = [("doc_id", "ascending")]
+    for b in range(4):
+        got = table(read_bucketed_parquet(out, b))
+        # read_parquet parses ``bucket=b`` in the path into a string
+        # column; the files themselves hold the rows without it
+        hive = table(ray.data.read_parquet(f"{out}/bucket={b}"))
+        assert hive.schema.names == got.schema.names + ["bucket"]
+        want = table(ray.data.read_parquet(f"{out}/bucket={b}", partitioning=None))
+        assert got.schema == want.schema
+        assert got.sort_by(key).equals(want.sort_by(key))
