@@ -28,8 +28,8 @@ def _stable_hash64(s: str) -> int:
 
 def crc_bucket(values, n_buckets: int) -> np.ndarray:
     """Stable bucket of each string key: ``zlib.crc32(utf8(v)) %
-    n_buckets`` as int64 — the one string shuffle key of the bucketed
-    groupbys and of the hash-bucketed parquet sink.
+    n_buckets`` as int64 — the bucket directory of the hash-bucketed
+    parquet sink, a persisted layout (shuffles use ``tiered.by_key``).
     ``values`` is any iterable of str or an Arrow array.  INTENTIONAL
     per-value Python loop: there is no vectorized Arrow crc32, and the
     callers run it over already-collapsed per-batch partials."""

@@ -42,9 +42,9 @@ from rapidocr_ray.util import (
 from rapidocr_ray.stages.ray_stages import (
     CascadeStage,
     DecodeRouteExtract,
-    add_url_bucket,
     dedup_bucket,
 )
+from rapidocr_ray.stages.tiered import by_key
 
 
 def _winners_file_partial(files: list[str] | str):
@@ -115,7 +115,7 @@ def dedup_by_url(
     payload column never enters a shuffle.  Precondition: (url,
     warc_ts) pairs are unique (WARC capture timestamps are); with ties
     both captures would survive, so pass ``strict=True`` to use the
-    hash-bucketed groupby plan (payload shuffle, exact under ties).
+    url-keyed ``tiered.by_key`` plan (payload shuffle, exact under ties).
 
     At cluster scale the broadcast is valid while distinct urls fit one
     node's heap (~20M urls / few GB); beyond ``broadcast_limit``
@@ -130,12 +130,7 @@ def dedup_by_url(
     directly, and the read's planned row count bounds the urls."""
     ensure_worker_importable()
     if strict:
-        return (
-            ds.map_batches(add_url_bucket, batch_format="pyarrow")
-            .groupby("url_bucket")
-            .map_groups(dedup_bucket, batch_format="pyarrow")
-            .drop_columns(["url_bucket"])
-        )
+        return by_key(ds, "url", dedup_bucket, batch_format="pyarrow")
     import ray as _ray
 
     # winners pass WITHOUT a Ray groupby: the broadcast path already

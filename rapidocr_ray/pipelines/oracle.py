@@ -5,7 +5,7 @@ This is the ``RapidOCR.__call__``-style implementation
 time, no Ray, no cross-document batching.  It shares the per-operator
 kernels with the distributed pipeline, so the byte-identical-per-url
 test (FIXTURES.md, verification protocol) checks exactly what can
-differ: orchestration — batching, shuffles, actor pools, block order.
+differ: orchestration — batching, shuffles, task fusion, block order.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from rapidocr_ray.functions.hashing import crc_bucket
 from rapidocr_ray.functions.textstats import (
     LANG_PROFILES,
     STOPWORDS,
@@ -36,7 +35,7 @@ from rapidocr_ray.functions.textstats import (
     rolling_fingerprint,
 )
 from rapidocr_ray.sources.parquet import read_table
-from rapidocr_ray.stages.tiered import count_table, doc_bucket, keyed_sum
+from rapidocr_ray.stages.tiered import by_key, count_table, keyed_sum
 from rapidocr_ray.util import broadcast_get, stack_list_column
 
 
@@ -324,21 +323,19 @@ def q_revenue_by_mktsegment(sf_dir: str, broadcast_limit: int = 20_000_000):
     )
 
 
-def _revenue_by_mktsegment_bucketed(sf_dir: str, n_buckets: int = 64):
-    """Large-customer fallback: both sides bucketed by hash(custkey),
-    per-bucket vectorized pandas merge + partial aggregate, then a
-    tiny final groupby over (segment) — custkey cardinality never
-    becomes a Ray groupby key."""
+def _revenue_by_mktsegment_bucketed(sf_dir: str):
+    """Large-customer fallback: both sides meet by custkey in
+    ``tiered.by_key``, per-bucket vectorized pandas merge + partial
+    aggregate, then a tiny final groupby over (segment) — custkey
+    cardinality never becomes a Ray groupby key."""
     from ray.data.aggregate import Sum
 
-    phi = np.uint64(2654435761)
     side_schema = pa.schema(
         [
             ("key", pa.int64()),
             ("tag", pa.string()),
             ("seg", pa.string()),
             ("cents", pa.int64()),
-            ("bucket", pa.uint64()),
         ]
     )
 
@@ -351,7 +348,6 @@ def _revenue_by_mktsegment_bucketed(sf_dir: str, n_buckets: int = 64):
                 "tag": np.full(n, "c", dtype=object),
                 "seg": batch.column("c_mktsegment"),
                 "cents": np.zeros(n, dtype=np.int64),
-                "bucket": (k.astype(np.uint64) * phi) % np.uint64(n_buckets),
             },
             schema=side_schema,
         )
@@ -365,7 +361,6 @@ def _revenue_by_mktsegment_bucketed(sf_dir: str, n_buckets: int = 64):
                 "tag": np.full(n, "o", dtype=object),
                 "seg": pa.nulls(n, pa.string()),
                 "cents": _cents(np.asarray(batch.column("o_totalprice"))).astype(np.int64),
-                "bucket": (k.astype(np.uint64) * phi) % np.uint64(n_buckets),
             },
             schema=side_schema,
         )
@@ -391,9 +386,7 @@ def _revenue_by_mktsegment_bucketed(sf_dir: str, n_buckets: int = 64):
         )
 
     return (
-        cust.union(orders)
-        .groupby("bucket")
-        .map_groups(bucket_join, batch_format="pandas")
+        by_key([cust, orders], "key", bucket_join)
         .groupby("c_mktsegment")
         .aggregate(
             Sum("n_part", alias_name="n_orders"),
@@ -412,11 +405,10 @@ GROUP BY c.c_mktsegment
 
 def q_orders_lineitem_join(sf_dir: str):
     """Partitioned hash join, both sides large (ray_guide join pattern):
-    bucket by hash(key) % B on both sides, per-bucket pandas merge,
-    then a small global aggregate."""
+    both sides meet by orderkey in ``tiered.by_key``, per-bucket pandas
+    merge, then a small global aggregate."""
     from ray.data.aggregate import Sum
 
-    n_buckets = 32
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderpriority"])
     lineitem = _read(
         sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount"]
@@ -426,7 +418,6 @@ def q_orders_lineitem_join(sf_dir: str):
         keys = np.asarray(batch.column("o_orderkey"))
         return pa.table(
             {
-                "bucket": pa.array(keys % n_buckets, type=pa.int64()),
                 "orderkey": pa.array(keys, type=pa.int64()),
                 "priority": batch.column("o_orderpriority"),
                 "rev_cents": pa.array(np.zeros(len(keys), dtype=np.int64)),
@@ -442,7 +433,6 @@ def q_orders_lineitem_join(sf_dir: str):
         )
         return pa.table(
             {
-                "bucket": pa.array(keys % n_buckets, type=pa.int64()),
                 "orderkey": pa.array(keys, type=pa.int64()),
                 "priority": pa.array([None] * len(keys), type=pa.string()),
                 "rev_cents": pa.array(rev, type=pa.int64()),
@@ -450,9 +440,10 @@ def q_orders_lineitem_join(sf_dir: str):
             }
         )
 
-    both = orders.map_batches(bucket_orders, batch_format="pyarrow").union(
-        lineitem.map_batches(bucket_lineitem, batch_format="pyarrow")
-    )
+    both = [
+        orders.map_batches(bucket_orders, batch_format="pyarrow"),
+        lineitem.map_batches(bucket_lineitem, batch_format="pyarrow"),
+    ]
 
     def join_bucket(group: pd.DataFrame) -> pd.DataFrame:
         left = group[group.side == 0][["orderkey", "priority"]]
@@ -466,8 +457,7 @@ def q_orders_lineitem_join(sf_dir: str):
         )
 
     return (
-        both.groupby("bucket")
-        .map_groups(join_bucket, batch_format="pandas")
+        by_key(both, "orderkey", join_bucket)
         .groupby("o_orderpriority")
         .aggregate(Sum("revenue_cents", alias_name="revenue_cents"))
     )
@@ -490,7 +480,6 @@ def q_orders_antijoin(sf_dir: str):
     vectorized isin-negation and a tiny per-priority aggregate."""
     from ray.data.aggregate import Sum
 
-    n_buckets = 32
     orders = _read(
         sf_dir, "orders", columns=["o_orderkey", "o_orderpriority", "o_totalprice"]
     )
@@ -500,7 +489,6 @@ def q_orders_antijoin(sf_dir: str):
         keys = np.asarray(batch.column("o_orderkey"))
         return pa.table(
             {
-                "bucket": pa.array(keys % n_buckets, type=pa.int64()),
                 "orderkey": pa.array(keys, type=pa.int64()),
                 "priority": batch.column("o_orderpriority"),
                 "total_cents": pa.array(
@@ -514,7 +502,6 @@ def q_orders_antijoin(sf_dir: str):
         keys = np.unique(np.asarray(batch.column("l_orderkey")))
         return pa.table(
             {
-                "bucket": pa.array(keys % n_buckets, type=pa.int64()),
                 "orderkey": pa.array(keys, type=pa.int64()),
                 "priority": pa.array([None] * len(keys), type=pa.string()),
                 "total_cents": pa.array(np.zeros(len(keys), dtype=np.int64)),
@@ -522,9 +509,10 @@ def q_orders_antijoin(sf_dir: str):
             }
         )
 
-    both = orders.map_batches(bucket_orders, batch_format="pyarrow").union(
-        lineitem.map_batches(bucket_lineitem_keys, batch_format="pyarrow")
-    )
+    both = [
+        orders.map_batches(bucket_orders, batch_format="pyarrow"),
+        lineitem.map_batches(bucket_lineitem_keys, batch_format="pyarrow"),
+    ]
 
     def anti_bucket(group: pd.DataFrame) -> pd.DataFrame:
         left = group[group.side == 0]
@@ -546,8 +534,7 @@ def q_orders_antijoin(sf_dir: str):
         )
 
     return (
-        both.groupby("bucket")
-        .map_groups(anti_bucket, batch_format="pandas")
+        by_key(both, "orderkey", anti_bucket)
         .groupby("o_orderpriority")
         .aggregate(
             Sum("n_orders", alias_name="n_orders"),
@@ -837,18 +824,17 @@ def q_dedup_latest_wins(sf_dir: str):
     """North-rule dedup semantics on the events table: one row per
     user_id, latest (ts, event_id) wins — the url/warc_ts analog.
 
-    Bucketed (64-way hash of user_id) rather than per-key map_groups:
+    Keyed by user_id in ``tiered.by_key`` rather than per-key map_groups:
     one vectorized pandas call per bucket, not one Python call per
     user — the only shape that survives web-scale key cardinality."""
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    ds = _bucket_by(ds, "user_id")
 
     def latest(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         out = g.drop_duplicates("user_id", keep="last")
         return out[["user_id", "event_id"]]
 
-    return ds.groupby("bucket").map_groups(latest, batch_format="pandas")
+    return by_key(ds, "user_id", latest)
 
 
 SQL_DEDUP_LATEST_WINS = """
@@ -863,14 +849,13 @@ def q_grouped_concat(sf_dir: str):
     """A5 analog as a standalone op: ordered grouped string concat
     (per user, event_type joined by ',' in (ts, event_id) order)."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts", "event_type"])
-    ds = _bucket_by(ds, "user_id")
 
     def concat(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         agg = g.groupby("user_id", sort=False)["event_type"].agg(",".join)
         return agg.rename("event_seq").reset_index()
 
-    return ds.groupby("bucket").map_groups(concat, batch_format="pandas")
+    return by_key(ds, "user_id", concat)
 
 
 SQL_GROUPED_CONCAT = """
@@ -884,7 +869,7 @@ def q_events_window(sf_dir: str):
     ray_guide): 1-hour windows per user over the ordered event log.
 
     Partial-aggregate inside map_batches (C-level pandas groupby sum
-    per batch), then ONE bounded-bucket shuffle and a vectorized final
+    per batch), then ONE ``tiered.by_key`` shuffle and a vectorized final
     merge — the (user, window) key space grows with users x time, so a
     Ray groupby over it would shuffle-sort unbounded key cardinality."""
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
@@ -902,14 +887,12 @@ def q_events_window(sf_dir: str):
         agg = t.group_by(["user_id", "window_start"]).aggregate(
             [("value_cents", "sum"), ("value_cents", "count")]
         )
-        keys = np.asarray(agg.column("user_id"), dtype=np.uint64)
         return pa.table(
             {
                 "user_id": agg.column("user_id"),
                 "window_start": agg.column("window_start"),
                 "n_events": pc.cast(agg.column("value_cents_count"), pa.int64()),
                 "value_cents": agg.column("value_cents_sum"),
-                "bucket": (keys * np.uint64(2654435761)) % np.uint64(64),
             }
         )
 
@@ -923,7 +906,7 @@ def q_events_window(sf_dir: str):
         out["value_cents"] = out.value_cents.astype(np.int64)
         return out
 
-    return part.groupby("bucket").map_groups(merge, batch_format="pandas")
+    return by_key(part, "user_id", merge)
 
 
 SQL_EVENTS_WINDOW = """
@@ -933,21 +916,9 @@ FROM events GROUP BY user_id, date_trunc('hour', ts)
 """
 
 
-def _bucket_by(ds, col: str, n_buckets: int = 64):
-    """Add a bounded shuffle key: hash-bucket of an int column."""
-
-    def add(batch: pa.Table) -> pa.Table:
-        keys = np.asarray(batch.column(col))
-        return batch.append_column(
-            "bucket", pa.array((keys * 2654435761 % 2**32) % n_buckets, type=pa.int64())
-        )
-
-    return ds.map_batches(add, batch_format="pyarrow")
-
-
 def q_topk_per_group(sf_dir: str):
     """Grouped top-k: top-3 orders per customer by (total_cents desc,
-    orderkey asc) — bucketed shuffle + vectorized within-bucket."""
+    orderkey asc) — ``tiered.by_key`` shuffle + vectorized within-bucket."""
     ds = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_totalprice"])
 
     def cents(batch: pa.Table) -> pa.Table:
@@ -961,7 +932,7 @@ def q_topk_per_group(sf_dir: str):
             }
         )
 
-    ds = _bucket_by(ds.map_batches(cents, batch_format="pyarrow"), "o_custkey")
+    ds = ds.map_batches(cents, batch_format="pyarrow")
 
     def topk(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(
@@ -972,7 +943,7 @@ def q_topk_per_group(sf_dir: str):
         out = g.groupby("o_custkey", sort=False).head(3)
         return out[["o_custkey", "o_orderkey", "total_cents"]]
 
-    return ds.groupby("bucket").map_groups(topk, batch_format="pandas")
+    return by_key(ds, "o_custkey", topk)
 
 
 SQL_TOPK_PER_GROUP = """
@@ -990,7 +961,6 @@ def q_sessionize(sf_dir: str):
     the streaming-shaped workload pattern: partition by key, sort by ts
     within partition, window inside map_groups."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts"])
-    ds = _bucket_by(ds, "user_id")
 
     def sessionize(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -1005,7 +975,7 @@ def q_sessionize(sf_dir: str):
         )
         return agg.reset_index()
 
-    return ds.groupby("bucket").map_groups(sessionize, batch_format="pandas")
+    return by_key(ds, "user_id", sessionize)
 
 
 SQL_SESSIONIZE = """
@@ -1032,7 +1002,6 @@ def q_asof_join(sf_dir: str):
     most recent strictly-earlier click by the same user, via
     pd.merge_asof inside per-bucket groups."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts", "event_type"])
-    ds = _bucket_by(ds, "user_id")
 
     def asof(group: pd.DataFrame) -> pd.DataFrame:
         purchases = group[group.event_type == "purchase"].sort_values("ts", kind="mergesort")
@@ -1050,7 +1019,7 @@ def q_asof_join(sf_dir: str):
         out = m.rename(columns={"event_id": "purchase_id"})[["purchase_id", "last_click_ts"]]
         return out
 
-    return ds.groupby("bucket").map_groups(asof, batch_format="pandas")
+    return by_key(ds, "user_id", asof)
 
 
 SQL_ASOF_JOIN = """
@@ -1069,12 +1038,9 @@ def q_user_distinct_types(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         # per-batch combiner: distinct (user, type) pairs via the C++
-        # hash-aggregate (no pandas round trip of the string column),
-        # plus the bounded shuffle key — never a python call per user
-        distinct = batch.group_by(["user_id", "event_type"]).aggregate([])
-        keys = np.asarray(distinct.column("user_id"), dtype=np.uint64)
-        bucket = (keys * np.uint64(2654435761)) % np.uint64(64)
-        return distinct.append_column("bucket", pa.array(bucket, type=pa.uint64()))
+        # hash-aggregate (no pandas round trip of the string column)
+        # — never a python call per user
+        return batch.group_by(["user_id", "event_type"]).aggregate([])
 
     part = ds.map_batches(partial, batch_format="pyarrow")
 
@@ -1088,7 +1054,7 @@ def q_user_distinct_types(sf_dir: str):
             }
         )
 
-    return part.groupby("bucket").map_groups(merge, batch_format="pandas")
+    return by_key(part, "user_id", merge)
 
 
 SQL_USER_DISTINCT_TYPES = """
@@ -1127,10 +1093,10 @@ def q_top_terms_per_lang(sf_dir: str, k: int = 5):
 
     Scale shape: per-batch partial counts (Arrow split + flatten +
     Table.group_by — the token EXPLOSION never leaves the task), ONE
-    bounded shuffle bucketed by token hash (token determines bucket,
+    ``tiered.by_key`` shuffle on the token (token determines bucket,
     so per-bucket merged counts are exact), and per-bucket per-lang
     top-k pruning BEFORE the final tiny per-lang reduce — the second
-    shuffle carries at most n_buckets x n_langs x k rows, never the
+    shuffle carries at most N_BUCKETS x n_langs x k rows, never the
     vocabulary."""
     ds = _read(sf_dir, "documents", columns=["lang", "text"])
 
@@ -1147,15 +1113,11 @@ def q_top_terms_per_lang(sf_dir: str, k: int = 5):
             }
         )
         agg = t.group_by(["lang", "token"]).aggregate([("n", "sum")])
-        # stable bucket on the token only (crc32 over the DISTINCT
-        # tokens of the partial — not the exploded instances)
-        buckets = crc_bucket(agg.column("token"), 64)
         return pa.table(
             {
                 "lang": agg.column("lang"),
                 "token": agg.column("token"),
                 "n": agg.column("n_sum"),
-                "bucket": buckets,
             }
         )
 
@@ -1168,7 +1130,7 @@ def q_top_terms_per_lang(sf_dir: str, k: int = 5):
         out = out.sort_values(["n", "token"], ascending=[False, True], kind="mergesort")
         return out.groupby("lang", sort=False).head(k)
 
-    counts = part.groupby("bucket").map_groups(merge_prune, batch_format="pandas")
+    counts = by_key(part, "token", merge_prune)
 
     def topk(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["n", "token"], ascending=[False, True], kind="mergesort").head(k)
@@ -1415,10 +1377,10 @@ def q_substring_dup_pairs(sf_dir: str, window: int = 16, cap: int = 64):
     substring, found via the full set of rolling window hashes per doc.
 
     Scale shape: the window explosion stays in the task (per-doc
-    DISTINCT hashes only), ONE bounded shuffle bucketed by hash value
-    (a hash lives in one bucket, so the hot-hash frequency cap and the
-    pair join are exact per bucket), pair formation is a vectorized
-    self-merge, and a second bounded shuffle dedups pairs that share
+    DISTINCT hashes only), ONE ``tiered.by_key`` shuffle on the hash
+    value (a hash lives in one bucket, so the hot-hash frequency cap and
+    the pair join are exact per bucket), pair formation is a vectorized
+    self-merge, and a second ``by_key`` shuffle dedups pairs that share
     multiple substrings.  Hashes shared by more than ``cap`` docs are
     SKIPPED as stop-substrings (boilerplate phrases would otherwise
     form quadratic pair blowups at crawl scale) — the oracle mirrors
@@ -1442,12 +1404,10 @@ def q_substring_dup_pairs(sf_dir: str, window: int = 16, cap: int = 64):
             hs = rolling_window_hashes(t, window)
             out_h.extend(hs)
             out_id.extend([d] * len(hs))
-        harr = np.asarray(out_h, dtype=np.uint64)
         return pa.table(
             {
-                "h": harr,
+                "h": np.asarray(out_h, dtype=np.uint64),
                 "doc_id": np.asarray(out_id, dtype=np.int64),
-                "bucket": (harr % np.uint64(256)).astype(np.int64),
             }
         )
 
@@ -1457,14 +1417,9 @@ def q_substring_dup_pairs(sf_dir: str, window: int = 16, cap: int = 64):
         docs_per_h = g.groupby("h")["doc_id"].nunique()
         keep = g[g.h.isin(docs_per_h[docs_per_h <= cap].index)]
         m = keep.merge(keep, on="h")
-        m = m[m.doc_id_x < m.doc_id_y][["doc_id_x", "doc_id_y"]].drop_duplicates()
-        m["pair_bucket"] = (
-            (m.doc_id_x.to_numpy(dtype=np.uint64) * np.uint64(2654435761)
-             + m.doc_id_y.to_numpy(dtype=np.uint64)) % np.uint64(64)
-        ).astype(np.int64)
-        return m
+        return m[m.doc_id_x < m.doc_id_y][["doc_id_x", "doc_id_y"]].drop_duplicates()
 
-    cand = part.groupby("bucket").map_groups(pairs_in_bucket, batch_format="pandas")
+    cand = by_key(part, "h", pairs_in_bucket)
 
     def distinct_pairs(g: pd.DataFrame) -> pd.DataFrame:
         out = g.drop_duplicates(["doc_id_x", "doc_id_y"]).sort_values(
@@ -1477,9 +1432,7 @@ def q_substring_dup_pairs(sf_dir: str, window: int = 16, cap: int = 64):
             }
         )
 
-    return cand.groupby("pair_bucket").map_groups(
-        distinct_pairs, batch_format="pandas"
-    )
+    return by_key(cand, "doc_id_x", distinct_pairs)
 
 
 SQL_SUBSTRING_DUP_PAIRS = f"""
@@ -2017,7 +1970,7 @@ def _dup_pair_count_by_signature(sf_dir: str, sig_of_batch) -> pa.Table:
         n = int((sizes * (sizes - 1) // 2).sum())
         return pa.table({"c": [n]}, schema=pa.schema([("c", pa.int64())]))
 
-    counts = keyed.groupby("bucket").map_groups(bucket_counts, batch_format="pandas")
+    counts = by_key(keyed, "sig_key", bucket_counts)
     total = counts.sum("c") or 0
     return pa.table({"n_pairs": pa.array([int(total)], type=pa.int64())})
 
@@ -2046,14 +1999,12 @@ def q_simhash_dup_recall(sf_dir: str):
                 "doc_id": ids,
                 "sig_key": [f"{s:016x}" for s in sigs],
                 "md5": [fingerprint_md5(t) for t in texts],
-                "bucket": [s % 256 for s in sigs],
             },
             schema=pa.schema(
                 [
                     ("doc_id", pa.int64()),
                     ("sig_key", pa.string()),
                     ("md5", pa.string()),
-                    ("bucket", pa.uint64()),
                 ]
             ),
         )
@@ -2076,25 +2027,23 @@ def q_minhash_dup_recall(sf_dir: str):
 
         ids = batch.column("doc_id").to_pylist()
         texts = batch.column("text").to_pylist()
-        keys, buckets = [], []
-        for t in texts:
-            s = hasher.signature(shingle_set_hashes(t, 3))
-            digest = hashlib.md5(s.tobytes()).hexdigest()
-            keys.append(digest)
-            buckets.append(int(digest[:8], 16) % 256)
+        keys = [
+            hashlib.md5(
+                hasher.signature(shingle_set_hashes(t, 3)).tobytes()
+            ).hexdigest()
+            for t in texts
+        ]
         return pa.table(
             {
                 "doc_id": ids,
                 "sig_key": keys,
                 "md5": [fingerprint_md5(t) for t in texts],
-                "bucket": buckets,
             },
             schema=pa.schema(
                 [
                     ("doc_id", pa.int64()),
                     ("sig_key", pa.string()),
                     ("md5", pa.string()),
-                    ("bucket", pa.uint64()),
                 ]
             ),
         )
@@ -2832,7 +2781,7 @@ def q_norm_dedup_groups(sf_dir: str):
     case/punctuation/whitespace near-identical copies raw exact dedup
     misses.  One row per normalized group: keeper (min doc_id) and
     group size.  Same shape as exact dedup: normalize vectorized in
-    the scan task, ONE bounded shuffle bucketed by key hash (a key
+    the scan task, ONE ``tiered.by_key`` shuffle on the key (a key
     lives in one bucket, so per-bucket groups are exact).  Both sides
     use RE2 ('[^a-z0-9]+') so the normalization is kernel-identical."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -2843,14 +2792,9 @@ def q_norm_dedup_groups(sf_dir: str):
                 pc.utf8_lower(batch.column("text")), "[^a-z0-9]+", " "
             )
         )
-        # INTENTIONAL to_pylist: per-doc string hashing (crc32 is C
-        # over the full key bytes), same pattern as top_terms_per_lang
-        buckets = crc_bucket(key, 64)
-        return pa.table(
-            {"doc_id": batch.column("doc_id"), "k": key, "bucket": buckets}
-        )
+        return pa.table({"doc_id": batch.column("doc_id"), "k": key})
 
-    bucketed = ds.map_batches(norm, batch_format="pyarrow")
+    normed = ds.map_batches(norm, batch_format="pyarrow")
 
     def groups(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby("k", sort=False, as_index=False).agg(
@@ -2863,7 +2807,7 @@ def q_norm_dedup_groups(sf_dir: str):
             }
         )
 
-    return bucketed.groupby("bucket").map_groups(groups, batch_format="pandas")
+    return by_key(normed, "k", groups)
 
 
 SQL_NORM_DEDUP_GROUPS = """
@@ -2881,7 +2825,7 @@ def q_event_funnel(sf_dir: str):
     followed by a 'purchase', with the earliest qualifying purchase
     timestamp.  The scan keeps only the two funnel steps (vectorized
     is_in — everything else never leaves the read task), then ONE
-    bucketed shuffle by user and a per-bucket vectorized min/merge/min;
+    ``tiered.by_key`` shuffle by user and a per-bucket vectorized min/merge/min;
     per-user history fits a group (the running_totals partitioning
     assumption)."""
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_type"])
@@ -2894,7 +2838,7 @@ def q_event_funnel(sf_dir: str):
             )
         )
 
-    ds = _bucket_by(ds.map_batches(pre, batch_format="pyarrow"), "user_id")
+    ds = ds.map_batches(pre, batch_format="pyarrow")
 
     def funnel(g: pd.DataFrame) -> pd.DataFrame:
         ta = (
@@ -2912,7 +2856,7 @@ def q_event_funnel(sf_dir: str):
             .rename(columns={"ts": "conv_ts"})
         )
 
-    return ds.groupby("bucket").map_groups(funnel, batch_format="pandas")
+    return by_key(ds, "user_id", funnel)
 
 
 SQL_EVENT_FUNNEL = """
@@ -2933,10 +2877,10 @@ def q_doc_salient_term(sf_dir: str):
 
     Fully distributed, no broadcast: (1) per-batch per-doc tf counts
     keep only each doc's max-tf ties (candidates — a handful per doc);
-    (2) per-batch DISTINCT-token df partials; (3) ONE shuffle bucketed
-    by token merges df and attaches it to candidates (a token lives in
-    one bucket, so the df a candidate sees is exact and global);
-    (4) a second small shuffle keyed by doc bucket picks the winner —
+    (2) per-batch DISTINCT-token df partials; (3) ONE ``tiered.by_key``
+    shuffle on the token merges df and attaches it to candidates (a
+    token lives in one bucket, so the df a candidate sees is exact and
+    global); (4) a second small shuffle keyed by doc picks the winner —
     it carries only the tie rows, never the token explosion."""
     CAND_ROW, DF_ROW = 0, 1
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -2956,10 +2900,8 @@ def q_doc_salient_term(sf_dir: str):
         per = explode(batch)
         mx = per.groupby("d", sort=False)["tf"].transform("max")
         cand = per[per.tf == mx]
-        cand_buckets = crc_bucket(cand.tok, 64)
         cand_tab = pa.table(
             {
-                "bucket": cand_buckets,
                 "kind": np.full(len(cand), CAND_ROW, dtype=np.int8),
                 "token": pa.array(cand.tok, type=pa.string()),
                 "doc_id": cand.d.to_numpy().astype(np.int64),
@@ -2968,10 +2910,8 @@ def q_doc_salient_term(sf_dir: str):
             }
         )
         part = per.groupby("tok", sort=False).size().rename("df").reset_index()
-        df_buckets = crc_bucket(part.tok, 64)
         df_tab = pa.table(
             {
-                "bucket": df_buckets,
                 "kind": np.full(len(part), DF_ROW, dtype=np.int8),
                 "token": pa.array(part.tok, type=pa.string()),
                 "doc_id": np.zeros(len(part), dtype=np.int64),
@@ -2986,11 +2926,9 @@ def q_doc_salient_term(sf_dir: str):
     def attach_df(g: pd.DataFrame) -> pd.DataFrame:
         df_tab = g[g.kind == DF_ROW].groupby("token", sort=False)["df_part"].sum()
         cand = g[g.kind == CAND_ROW][["doc_id", "token", "tf"]]
-        out = cand.merge(df_tab.rename("df_n"), left_on="token", right_index=True)
-        out["doc_bucket"] = np.asarray(doc_bucket(out.doc_id.to_numpy(), 64))
-        return out
+        return cand.merge(df_tab.rename("df_n"), left_on="token", right_index=True)
 
-    attached = both.groupby("bucket").map_groups(attach_df, batch_format="pandas")
+    attached = by_key(both, "token", attach_df)
 
     def pick(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(
@@ -3007,7 +2945,7 @@ def q_doc_salient_term(sf_dir: str):
             }
         )
 
-    return attached.groupby("doc_bucket").map_groups(pick, batch_format="pandas")
+    return by_key(attached, "doc_id", pick)
 
 
 SQL_DOC_SALIENT_TERM = """
@@ -3028,7 +2966,7 @@ def q_sliding_window(sf_dir: str):
     the streaming shape tumbling windows can't express — each event
     belongs to exactly two windows, so the scan task EXPLODES the
     assignment map-side (x2, still vectorized) and pre-aggregates
-    before the one bounded window-keyed shuffle.  Window keys grow
+    before the one ``tiered.by_key`` shuffle on the window.  Window keys grow
     with time, never with event count."""
     ds = _read(sf_dir, "events", columns=["ts", "value"])
     hour_us = 3_600_000_000
@@ -3046,13 +2984,11 @@ def q_sliding_window(sf_dir: str):
             }
         )
         agg = t.group_by("w").aggregate([("cents", "sum"), ("n", "sum")])
-        w = np.asarray(agg.column("w"), dtype=np.int64)
         return pa.table(
             {
                 "window_start": pc.cast(agg.column("w"), pa.timestamp("us")),
                 "n_events": agg.column("n_sum"),
                 "value_cents": agg.column("cents_sum"),
-                "bucket": (w // hour_us) % 64,
             }
         )
 
@@ -3066,7 +3002,7 @@ def q_sliding_window(sf_dir: str):
         out["value_cents"] = out.value_cents.astype(np.int64)
         return out
 
-    return part.groupby("bucket").map_groups(merge, batch_format="pandas")
+    return by_key(part, "window_start", merge)
 
 
 SQL_SLIDING_WINDOW = """
@@ -3110,7 +3046,7 @@ def q_events_rollup(sf_dir: str):
                 "hour": agg.column("hour"),
                 "cents": agg.column("cents_sum"),
                 "n": agg.column("n_sum"),
-                "bucket": np.zeros(agg.num_rows, dtype=np.int64),
+                "group": np.zeros(agg.num_rows, dtype=np.int64),
             }
         )
 
@@ -3122,7 +3058,7 @@ def q_events_rollup(sf_dir: str):
     # merge group exists and contributes 0 to every sum (the oracle
     # COALESCEs the empty-total NULL to 0 for the same reason)
     seed = ray.data.from_items(
-        [{"event_type": "\x00seed", "hour": -1, "cents": 0, "n": 0, "bucket": 0}]
+        [{"event_type": "\x00seed", "hour": -1, "cents": 0, "n": 0, "group": 0}]
     )
     part = part.union(seed)
 
@@ -3146,7 +3082,8 @@ def q_events_rollup(sf_dir: str):
         out["value_cents"] = out.value_cents.astype(np.int64)
         return out[["event_type", "hour", "n_events", "value_cents"]]
 
-    return part.groupby("bucket").map_groups(rollup, batch_format="pandas")
+    # one group on purpose: every level needs every (type, hour) row
+    return part.groupby("group").map_groups(rollup, batch_format="pandas")
 
 
 SQL_EVENTS_ROLLUP = """
@@ -3189,7 +3126,7 @@ def q_events_cube(sf_dir: str):
                 "hour": agg.column("hour"),
                 "cents": agg.column("cents_sum"),
                 "n": agg.column("n_sum"),
-                "bucket": np.zeros(agg.num_rows, dtype=np.int64),
+                "group": np.zeros(agg.num_rows, dtype=np.int64),
             }
         )
 
@@ -3198,7 +3135,7 @@ def q_events_cube(sf_dir: str):
     part = ds.map_batches(partial, batch_format="pyarrow")
     # seed: CUBE over an empty table still emits the grand-total row
     seed = ray.data.from_items(
-        [{"event_type": "\x00seed", "hour": -1, "cents": 0, "n": 0, "bucket": 0}]
+        [{"event_type": "\x00seed", "hour": -1, "cents": 0, "n": 0, "group": 0}]
     )
     part = part.union(seed)
 
@@ -3224,7 +3161,7 @@ def q_events_cube(sf_dir: str):
         out["value_cents"] = out.value_cents.astype(np.int64)
         return out[["event_type", "hour", "n_events", "value_cents"]]
 
-    return part.groupby("bucket").map_groups(cube, batch_format="pandas")
+    return part.groupby("group").map_groups(cube, batch_format="pandas")
 
 
 SQL_EVENTS_CUBE = """
@@ -3418,12 +3355,13 @@ def _paragraphs(text: str, k: int = 8) -> list[str]:
     return [" ".join(w[i : i + k]) for i in range(0, len(w), k)]
 
 
-def q_paragraph_dedup(sf_dir: str, n_buckets: int = 64):
+def q_paragraph_dedup(sf_dir: str):
     """Paragraph-level exact dedup (the RefinedWeb/CCNet staple): a
     paragraph instance survives iff it is the globally-first occurrence
     of its text, ordered by (doc_id, pidx).  Scale shape: shuffle 1
-    carries (md5, doc_id, pidx) ONLY — never paragraph text — bucketed
-    by md5 prefix; winners (the kept instances) shuffle 2 by doc bucket
+    carries (md5, doc_id, pidx) ONLY — never paragraph text — and meets
+    in ``tiered.by_key`` on an int64 of the md5 prefix; winners (the
+    kept instances) meet by doc_id in a second ``by_key``
     alongside a pruned re-read of documents, so text crosses the wire
     zero times and is re-paragraphized locally for the kept-concat md5
     pin.  Output per doc: n_paras, n_kept, md5 of the newline-joined
@@ -3442,17 +3380,14 @@ def q_paragraph_dedup(sf_dir: str, n_buckets: int = 64):
             for i, para in enumerate(_paragraphs(t)):
                 out_doc.append(int(d))
                 out_pidx.append(i)
-                out_h.append(hashlib.md5(para.encode()).hexdigest())
-        h = pa.array(out_h, type=pa.string())
-        bucket = np.frombuffer(
-            b"".join(bytes.fromhex(s[:8]) for s in out_h), dtype=">u4"
-        ).astype(np.int64) % n_buckets
+                out_h.append(hashlib.md5(para.encode()).digest())
         return pa.table(
             {
                 "doc_id": pa.array(out_doc, type=pa.int64()),
                 "pidx": pa.array(out_pidx, type=pa.int64()),
-                "h": h,
-                "bucket": pa.array(bucket, type=pa.int64()),
+                "h": pa.array([x.hex() for x in out_h], type=pa.string()),
+                # the shuffle key: the md5's first 8 bytes as an int64
+                "hk": np.frombuffer(b"".join(x[:8] for x in out_h), dtype="<i8"),
             }
         )
 
@@ -3462,7 +3397,7 @@ def q_paragraph_dedup(sf_dir: str, n_buckets: int = 64):
         g = group.sort_values(["h", "doc_id", "pidx"]).drop_duplicates("h")
         return g[["doc_id", "pidx"]]
 
-    won = ex.groupby("bucket").map_groups(winners, batch_format="pandas")
+    won = by_key(ex, "hk", winners)
 
     def won_tag(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -3482,9 +3417,10 @@ def q_paragraph_dedup(sf_dir: str, n_buckets: int = 64):
             }
         )
 
-    both = _bucket_by(
-        won.map_batches(won_tag, batch_format="pyarrow"), "doc_id", n_buckets
-    ).union(_bucket_by(ds.map_batches(doc_tag, batch_format="pyarrow"), "doc_id", n_buckets))
+    both = [
+        won.map_batches(won_tag, batch_format="pyarrow"),
+        ds.map_batches(doc_tag, batch_format="pyarrow"),
+    ]
 
     def per_doc(group: pd.DataFrame) -> pd.DataFrame:
         docs = group[group.pidx < 0]
@@ -3501,7 +3437,7 @@ def q_paragraph_dedup(sf_dir: str, n_buckets: int = 64):
             rows["kept_md5"].append(hashlib.md5(kept_text.encode()).hexdigest())
         return pd.DataFrame(rows)
 
-    return both.groupby("bucket").map_groups(per_doc, batch_format="pandas")
+    return by_key(both, "doc_id", per_doc)
 
 
 SQL_PARAGRAPH_DEDUP = """
@@ -3518,15 +3454,15 @@ FROM r GROUP BY doc_id
 """
 
 
-def q_domain_stats(sf_dir: str, n_buckets: int = 64):
+def q_domain_stats(sf_dir: str):
     """Per-registrable-domain rollup with a PSL-lite suffix rule (the
     real public-suffix algorithm over an embedded {com,org,net,io,co.uk}
     list — 'a.b.co.uk' rolls up to 'b.co.uk', not 'co.uk').  URLs are
     synthesized deterministically, mirrored in the SQL below (hosts
     vary by doc_id residue; 1 in 4 is 'www.').  Scale shape: per-batch partial group_by on (domain, host,
-    lang) collapses each batch to its distinct triples, then ONE bounded
-    shuffle on crc32(domain) merges exact distinct-host / distinct-lang
-    counts — the user_distinct_types mergeable-partial pattern."""
+    lang) collapses each batch to its distinct triples, then ONE
+    ``tiered.by_key`` shuffle on the domain merges exact distinct-host /
+    distinct-lang counts — the user_distinct_types mergeable-partial pattern."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "source", "n_chars"])
     tlds = ["com", "org", "net", "io", "co.uk"]
 
@@ -3561,12 +3497,9 @@ def q_domain_stats(sf_dir: str, n_buckets: int = 64):
                 "n_chars": batch.column("n_chars"),
             }
         )
-        agg = t.group_by(["domain", "host", "lang"]).aggregate(
+        return t.group_by(["domain", "host", "lang"]).aggregate(
             [("n_chars", "sum"), ("n_chars", "count")]
         )
-        # stable string bucket on the DISTINCT domains only
-        bucket = pa.array(crc_bucket(agg.column("domain"), n_buckets))
-        return agg.append_column("bucket", bucket)
 
     part = ds.map_batches(partial, batch_format="pyarrow")
 
@@ -3582,7 +3515,7 @@ def q_domain_stats(sf_dir: str, n_buckets: int = 64):
         )
         return out.reset_index()
 
-    return part.groupby("bucket").map_groups(merge, batch_format="pandas")
+    return by_key(part, "domain", merge)
 
 
 SQL_DOMAIN_STATS = r"""
@@ -3605,7 +3538,7 @@ FROM d GROUP BY domain
 """
 
 
-def q_url_canonical_dedup(sf_dir: str, n_buckets: int = 64):
+def q_url_canonical_dedup(sf_dir: str):
     """URL canonicalization + latest-wins dedup — the crawl-side
     normalization exact url-dedup misses: lowercase scheme+host, strip
     the https default port, drop query+fragment, trim one trailing
@@ -3613,7 +3546,7 @@ def q_url_canonical_dedup(sf_dir: str, n_buckets: int = 64):
     host ~50%, ':443' ~20%, utm query ~33%, fragment ~14%, trailing
     slash ~25%; path collides on doc_id%97 so groups are real).  Scale
     shape: canonicalization is one vectorized map_batches; the winner
-    pick is ONE bounded shuffle on crc32(canon) with a vectorized
+    pick is ONE ``tiered.by_key`` shuffle on the canonical url with a vectorized
     per-bucket sort/first (no per-url Python)."""
     ds = _read(sf_dir, "documents", columns=["doc_id"])
 
@@ -3652,10 +3585,7 @@ def q_url_canonical_dedup(sf_dir: str, n_buckets: int = 64):
         trimmed = pc.replace_substring_regex(path, pattern="/$", replacement="")
         path2 = pc.if_else(is_root, pa.array(["/"] * n), trimmed)
         c = pc.binary_join_element_wise(scheme, pa.array(["://"] * n), host, path2, "")
-        bucket = pa.array(crc_bucket(c, n_buckets))
-        return pa.table(
-            {"canon_url": c, "doc_id": batch.column("doc_id"), "bucket": bucket}
-        )
+        return pa.table({"canon_url": c, "doc_id": batch.column("doc_id")})
 
     part = ds.map_batches(canon, batch_format="pyarrow")
 
@@ -3670,7 +3600,7 @@ def q_url_canonical_dedup(sf_dir: str, n_buckets: int = 64):
             }
         )
 
-    return part.groupby("bucket").map_groups(pick, batch_format="pandas")
+    return by_key(part, "canon_url", pick)
 
 
 SQL_URL_CANONICAL_DEDUP = """
@@ -3752,9 +3682,10 @@ def q_unigram_logprob(sf_dir: str):
     filter, self-trained): per-doc sum of lp(t) = floor(log10(c/N)*1e6)
     over its tokens, c the corpus count of t and N the corpus token
     count.  The count pass is per-batch `pa.Table.group_by` partials and
-    ONE crc32(token)-bucketed merge; scoring is `tiered.keyed_sum` (the
-    per-token table broadcast once, or attached through token buckets
-    past `tiered.BROADCAST_LIMIT` rows).  The per-doc SUM is integer so
+    ONE token-keyed `tiered.count_table` merge; scoring is
+    `tiered.keyed_sum` (the per-token table broadcast once, or attached
+    through `tiered.by_key` on the token past `tiered.BROADCAST_LIMIT`
+    rows).  The per-doc SUM is integer so
     accumulation order cannot diverge."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     return keyed_sum(
@@ -3785,7 +3716,7 @@ def _lead_key(text: str) -> str:
     return " ".join(text.split(" ")[:8])
 
 
-def q_incremental_dedup(sf_dir: str, n_bits_log2: int = 20, n_buckets: int = 64):
+def q_incremental_dedup(sf_dir: str, n_bits_log2: int = 20):
     """Incremental (cross-snapshot) dedup — the shape every recurring
     crawl ingest needs: flag each NEW document whose leading-content
     fingerprint already appeared in the PRIOR snapshot (doc_id%3==0,
@@ -3864,13 +3795,11 @@ def q_incremental_dedup(sf_dir: str, n_bits_log2: int = 20, n_buckets: int = 64)
 
     def cand_rows(batch: pa.Table) -> pa.Table:
         b = batch.filter(batch.column("cand"))
-        keys = b.column("key").to_pylist()
         return pa.table(
             {
-                "kind": pa.array(np.full(len(keys), NEW_ROW), type=pa.int8()),
+                "kind": pa.array(np.full(b.num_rows, NEW_ROW), type=pa.int8()),
                 "doc_id": b.column("doc_id"),
                 "key": b.column("key"),
-                "bucket": pa.array(crc_bucket(keys, n_buckets)),
             }
         )
 
@@ -3883,7 +3812,6 @@ def q_incremental_dedup(sf_dir: str, n_bits_log2: int = 20, n_buckets: int = 64)
                 "kind": pa.array(np.full(len(keys), PRIOR_ROW), type=pa.int8()),
                 "doc_id": pa.array(ids[sel], type=pa.int64()),
                 "key": pa.array(keys, type=pa.string()),
-                "bucket": pa.array(crc_bucket(keys, n_buckets)),
             }
         )
 
@@ -3910,9 +3838,7 @@ def q_incremental_dedup(sf_dir: str, n_bits_log2: int = 20, n_buckets: int = 64)
             }
         )
 
-    checked = cand.union(prior).groupby("bucket").map_groups(
-        verify, batch_format="pandas"
-    )
+    checked = by_key([cand, prior], "key", verify)
     return easy.union(checked)
 
 
@@ -3926,11 +3852,11 @@ FROM k d WHERE d.doc_id % 3 <> 0
 """
 
 
-def q_range_join(sf_dir: str, window_us: int = 3_600_000_000, n_buckets: int = 64):
+def q_range_join(sf_dir: str, window_us: int = 3_600_000_000):
     """Interval non-equi self-join (the brief's named 'range join'
     custom operator): for every purchase event, count and cents-sum the
     same user's events in the half-open hour [ts-1h, ts).  Scale shape:
-    ONE user-bucketed shuffle (no all-pairs blowup — the range
+    ONE ``tiered.by_key`` shuffle on the user (no all-pairs blowup — the range
     predicate is resolved per user by sorting once and binary-searching
     both interval ends against a prefix-sum, so a bucket costs
     O(n log n) not O(n^2)).  All arithmetic in int64 microseconds and
@@ -3951,7 +3877,7 @@ def q_range_join(sf_dir: str, window_us: int = 3_600_000_000, n_buckets: int = 6
             }
         )
 
-    part = _bucket_by(ds.map_batches(prep, batch_format="pyarrow"), "user_id", n_buckets)
+    part = ds.map_batches(prep, batch_format="pyarrow")
 
     def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["user_id", "t_us", "event_id"], kind="mergesort")
@@ -3983,7 +3909,7 @@ def q_range_join(sf_dir: str, window_us: int = 3_600_000_000, n_buckets: int = 6
             }
         )
 
-    return part.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
+    return by_key(part, "user_id", per_bucket)
 
 
 SQL_RANGE_JOIN = """
@@ -3997,7 +3923,7 @@ GROUP BY p.event_id
 """
 
 
-def q_doc_embedding_join(sf_dir: str, n_buckets: int = 64):
+def q_doc_embedding_join(sf_dir: str):
     """Cross-modal curation join (documents ⋈ embeddings on
     doc_id = vec_id) with the keep-gate computed post-join.  The scale
     pattern on display: the WIDE column (the 256-byte embedding) is
@@ -4009,20 +3935,16 @@ def q_doc_embedding_join(sf_dir: str, n_buckets: int = 64):
     accumulation-order drift fails the hash immediately)."""
     from rapidocr_ray.util import stack_list_column
 
-    docs = _bucket_by(
-        _read(sf_dir, "documents", columns=["doc_id", "n_chars"]).map_batches(
-            lambda b: pa.table(
-                {
-                    "doc_id": b.column("doc_id"),
-                    "n_chars": pc.cast(b.column("n_chars"), pa.int64()),
-                    "label": pa.array(np.full(b.num_rows, -1), type=pa.int64()),
-                    "norm_micro": pa.array(np.full(b.num_rows, -1), type=pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
+    docs = _read(sf_dir, "documents", columns=["doc_id", "n_chars"]).map_batches(
+        lambda b: pa.table(
+            {
+                "doc_id": b.column("doc_id"),
+                "n_chars": pc.cast(b.column("n_chars"), pa.int64()),
+                "label": pa.array(np.full(b.num_rows, -1), type=pa.int64()),
+                "norm_micro": pa.array(np.full(b.num_rows, -1), type=pa.int64()),
+            }
         ),
-        "doc_id",
-        n_buckets,
+        batch_format="pyarrow",
     )
 
     def emb_side(batch: pa.Table) -> pa.Table:
@@ -4040,13 +3962,9 @@ def q_doc_embedding_join(sf_dir: str, n_buckets: int = 64):
             }
         )
 
-    emb = _bucket_by(
-        _read(sf_dir, "embeddings", columns=["vec_id", "label", "embedding"]).map_batches(
-            emb_side, batch_format="pyarrow"
-        ),
-        "doc_id",
-        n_buckets,
-    )
+    emb = _read(
+        sf_dir, "embeddings", columns=["vec_id", "label", "embedding"]
+    ).map_batches(emb_side, batch_format="pyarrow")
 
     def join(group: pd.DataFrame) -> pa.Table:
         d = group[group.label < 0][["doc_id", "n_chars"]]
@@ -4063,7 +3981,7 @@ def q_doc_embedding_join(sf_dir: str, n_buckets: int = 64):
             }
         )
 
-    return docs.union(emb).groupby("bucket").map_groups(join, batch_format="pandas")
+    return by_key([docs, emb], "doc_id", join)
 
 
 SQL_DOC_EMBEDDING_JOIN = """
@@ -4656,15 +4574,15 @@ FROM a, b
 """
 
 
-def q_bpe_merge_pairs(sf_dir: str, k: int = 20, n_buckets: int = 64):
+def q_bpe_merge_pairs(sf_dir: str, k: int = 20):
     """BPE-training inner step: the global top-k adjacent token pairs
     by exact count (each merge round of BPE training picks argmax of
     exactly this statistic).  Scale shape mirrors top_terms: per-batch
     pair explosion never leaves the task (zero-copy Arrow slices form
     the left/right arrays; doc boundaries masked vectorized), partial
-    counts collapse in-task, ONE crc32(pair)-bucketed shuffle merges
-    exactly (a pair lives in one bucket), per-bucket top-k prune bounds
-    the final reduce at n_buckets × k rows."""
+    counts collapse in-task, ONE ``tiered.by_key`` shuffle on the pair
+    merges exactly (a pair lives in one bucket), per-bucket top-k prune
+    bounds the final reduce at N_BUCKETS × k rows."""
     ds = _read(sf_dir, "documents", columns=["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -4677,7 +4595,6 @@ def q_bpe_merge_pairs(sf_dir: str, k: int = 20, n_buckets: int = 64):
                 {
                     "pair": pa.array([], type=pa.string()),
                     "n": pa.array([], type=pa.int64()),
-                    "bucket": pa.array([], type=pa.int64()),
                 }
             )
         pairs = pc.binary_join_element_wise(
@@ -4691,12 +4608,10 @@ def q_bpe_merge_pairs(sf_dir: str, k: int = 20, n_buckets: int = 64):
         keep[ends[:-1] - 1] = False  # last token of each doc (but the final)
         t = pa.table({"pair": pairs.filter(pa.array(keep))})
         agg = t.group_by(["pair"]).aggregate([("pair", "count")])
-        buckets = crc_bucket(agg.column("pair"), n_buckets)
         return pa.table(
             {
                 "pair": agg.column("pair"),
                 "n": pc.cast(agg.column("pair_count"), pa.int64()),
-                "bucket": pa.array(buckets, type=pa.int64()),
             }
         )
 
@@ -4707,7 +4622,7 @@ def q_bpe_merge_pairs(sf_dir: str, k: int = 20, n_buckets: int = 64):
         out = out.sort_values(["n", "pair"], ascending=[False, True], kind="mergesort")
         return out.head(k)
 
-    pruned = part.groupby("bucket").map_groups(merge_prune, batch_format="pandas")
+    pruned = by_key(part, "pair", merge_prune)
 
     def topk(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -4737,19 +4652,15 @@ SELECT pair, cnt FROM c ORDER BY cnt DESC, pair LIMIT 20
 """
 
 
-def _pixel_key_table(
-    ids: np.ndarray, keys: list, containers: list, n_buckets: int
-) -> pa.Table:
-    """Shared (doc_id, pixel_key, container, bucket) builder for the
-    image/video pixel-dedup twins — one place for the crc32 bucket and
-    output schema so the twins cannot drift (review)."""
-    bucket = crc_bucket(keys, n_buckets)
+def _pixel_key_table(ids: np.ndarray, keys: list, containers: list) -> pa.Table:
+    """Shared (doc_id, pixel_key, container) builder for the
+    image/video pixel-dedup twins — one output schema so the twins
+    cannot drift (review)."""
     return pa.table(
         {
             "doc_id": pa.array(ids, type=pa.int64()),
             "pixel_key": pa.array(keys, type=pa.string()),
             "container": pa.array(containers, type=pa.int64()),
-            "bucket": pa.array(bucket, type=pa.int64()),
         }
     )
 
@@ -4773,7 +4684,7 @@ def _pixel_dup_merge(g: pd.DataFrame) -> pa.Table:
     )
 
 
-def q_image_pixel_dup_groups(sf_dir: str, n_buckets: int = 64):
+def q_image_pixel_dup_groups(sf_dir: str):
     """Cross-container image dedup on DECODED PIXELS — the multimodal
     dedup the payload layer needs: the same page encoded as PNG / GIF /
     BMP / LZW-TIFF / VP8L-WebP / RLE8-BMP must hash to ONE pixel group
@@ -4785,7 +4696,7 @@ def q_image_pixel_dup_groups(sf_dir: str, n_buckets: int = 64):
     bounded for text extraction but not pixel-exact).  Scale shape:
     synth+encode+decode+hash fuse in one map_batches (renders cached
     per key within a batch), then the exact-dedup bucket shuffle
-    carries only (doc_id, 16-byte key, container)."""
+    carries only (doc_id, 16-byte key, container) through ``tiered.by_key``."""
     import hashlib
 
     from rapidocr_ray.functions.codecs import (
@@ -4831,12 +4742,10 @@ def q_image_pixel_dup_groups(sf_dir: str, n_buckets: int = 64):
                 ).hexdigest()
             )
             containers.append(container)
-        return _pixel_key_table(ids, keys, containers, n_buckets)
+        return _pixel_key_table(ids, keys, containers)
 
     keyed = ds.map_batches(synth_hash, batch_format="pyarrow", batch_size=64)
-    return keyed.groupby("bucket").map_groups(
-        _pixel_dup_merge, batch_format="pandas"
-    )
+    return by_key(keyed, "pixel_key", _pixel_dup_merge)
 
 
 SQL_IMAGE_PIXEL_DUP_GROUPS = """
@@ -4847,9 +4756,7 @@ FROM documents GROUP BY ((doc_id % 37) + 37) % 37
 """
 
 
-def q_span_dedup_removal(
-    sf_dir: str, width: int = 16, n_buckets: int = 64, doc_buckets: int = 64
-):
+def q_span_dedup_removal(sf_dir: str, width: int = 16):
     """Exact duplicated-span REMOVAL (the Lee-et-al. 'deduplicating
     training data' operator): every ``width``-char window occurring ≥2
     times corpus-wide (counting multiplicity, self-repeats included) is
@@ -4857,11 +4764,11 @@ def q_span_dedup_removal(
     text, so one wrong span boundary anywhere flips the hash.
 
     Scale shape: window occurrences explode to one row per char
-    position, but ONE window-keyed bucket shuffle both counts and
+    position, but ONE window-keyed ``tiered.by_key`` shuffle both counts and
     resolves duplicates (a window's occurrences all land in its bucket,
     so dup detection is a within-group size test — no separate dup-set
     broadcast), and the surviving (doc_id, pos) rows meet the text in a
-    doc-bucketed rebuild where the keep mask is a vectorized
+    doc-keyed rebuild where the keep mask is a vectorized
     diff/cumsum.  The per-doc window slicing is oracle-pinned per-doc
     string work (the dedup.py to_pylist class); at 10^12 docs the
     published answer is a suffix array — this is the exact bucketed
@@ -4881,13 +4788,11 @@ def q_span_dedup_removal(
                 out_d.append(d)
                 out_i.append(i)
                 out_w.append(t[i : i + width])
-        bucket = crc_bucket(out_w, n_buckets)
         return pa.table(
             {
                 "doc_id": pa.array(out_d, type=pa.int64()),
                 "i": pa.array(out_i, type=pa.int64()),
                 "w": pa.array(out_w, type=pa.string()),
-                "bucket": pa.array(bucket, type=pa.int64()),
             }
         )
 
@@ -4901,13 +4806,11 @@ def q_span_dedup_removal(
             }
         )
 
-    covers = (
-        ds.map_batches(occurrences, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(dup_positions, batch_format="pandas")
+    covers = by_key(
+        ds.map_batches(occurrences, batch_format="pyarrow"), "w", dup_positions
     )
 
-    # doc-bucketed rebuild: positions (side 1) meet text (side 0)
+    # doc-keyed rebuild: positions (side 1) meet text (side 0)
     def text_side(batch: pa.Table) -> pa.Table:
         ids = np.asarray(batch.column("doc_id"), dtype=np.int64)
         return pa.table(
@@ -4916,7 +4819,6 @@ def q_span_dedup_removal(
                 "i": pa.array(np.full(len(ids), -1), type=pa.int64()),
                 "text": batch.column("text"),
                 "side": pa.array(np.zeros(len(ids), dtype=np.int64), type=pa.int64()),
-                "b2": pa.array(ids % doc_buckets, type=pa.int64()),
             }
         )
 
@@ -4928,13 +4830,13 @@ def q_span_dedup_removal(
                 "i": batch.column("i"),
                 "text": pa.array([None] * len(ids), type=pa.string()),
                 "side": pa.array(np.ones(len(ids), dtype=np.int64), type=pa.int64()),
-                "b2": pa.array(ids % doc_buckets, type=pa.int64()),
             }
         )
 
-    both = ds.map_batches(text_side, batch_format="pyarrow").union(
-        covers.map_batches(pos_side, batch_format="pyarrow")
-    )
+    both = [
+        ds.map_batches(text_side, batch_format="pyarrow"),
+        covers.map_batches(pos_side, batch_format="pyarrow"),
+    ]
 
     def rebuild(g: pd.DataFrame) -> pd.DataFrame:
         texts = g[g.side == 0]
@@ -4966,7 +4868,7 @@ def q_span_dedup_removal(
             }
         )
 
-    return both.groupby("b2").map_groups(rebuild, batch_format="pandas")
+    return by_key(both, "doc_id", rebuild)
 
 
 SQL_SPAN_DEDUP_REMOVAL = """
@@ -4990,7 +4892,7 @@ FROM docs d LEFT JOIN agg a USING (doc_id)
 """
 
 
-def q_video_pixel_dup_groups(sf_dir: str, n_buckets: int = 64):
+def q_video_pixel_dup_groups(sf_dir: str):
     """Cross-container VIDEO dedup on decoded frames (the image op's
     temporal twin): the same frame sequence as an RBMP stream, an
     AVI/MJPG-q100 file and an animated GIF must md5 to ONE group —
@@ -5039,12 +4941,10 @@ def q_video_pixel_dup_groups(sf_dir: str, n_buckets: int = 64):
                 h.update(fr.tobytes())
             keys.append(h.hexdigest())
             containers.append(container)
-        return _pixel_key_table(ids, keys, containers, n_buckets)
+        return _pixel_key_table(ids, keys, containers)
 
     keyed = ds.map_batches(synth_hash, batch_format="pyarrow", batch_size=64)
-    return keyed.groupby("bucket").map_groups(
-        _pixel_dup_merge, batch_format="pandas"
-    )
+    return by_key(keyed, "pixel_key", _pixel_dup_merge)
 
 
 SQL_VIDEO_PIXEL_DUP_GROUPS = """
@@ -5055,13 +4955,13 @@ FROM documents GROUP BY ((doc_id % 23) + 23) % 23
 """
 
 
-def q_orders_left_outer_agg(sf_dir: str, n_buckets: int = 32):
+def q_orders_left_outer_agg(sf_dir: str):
     """LEFT OUTER join aggregate, both sides large (every order with
     its lineitem count + quantity sum, ZERO rows included — the join
     family's last member next to inner / anti / semi / range / as-of).
     Scale shape: the fact side collapses to per-task (orderkey, cnt,
     qty) partials BEFORE the shuffle (never raw rows), then the same
-    bucket-by-key union the anti-join uses and a per-bucket vectorized
+    ``tiered.by_key`` union the anti-join uses and a per-bucket vectorized
     reindex-with-zero-fill — the outer semantics cost nothing extra."""
     orders = _read(sf_dir, "orders", columns=["o_orderkey"])
     lineitem = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
@@ -5071,7 +4971,6 @@ def q_orders_left_outer_agg(sf_dir: str, n_buckets: int = 32):
         z = np.zeros(len(keys), dtype=np.int64)
         return pa.table(
             {
-                "bucket": pa.array(keys % n_buckets, type=pa.int64()),
                 "orderkey": pa.array(keys, type=pa.int64()),
                 "cnt": pa.array(z, type=pa.int64()),
                 "qty": pa.array(z, type=pa.int64()),
@@ -5094,7 +4993,6 @@ def q_orders_left_outer_agg(sf_dir: str, n_buckets: int = 32):
         keys = np.asarray(t.column("orderkey"), dtype=np.int64)
         return pa.table(
             {
-                "bucket": pa.array(keys % n_buckets, type=pa.int64()),
                 "orderkey": pa.array(keys, type=pa.int64()),
                 "cnt": t.column("one_sum"),
                 "qty": t.column("q_sum"),
@@ -5102,9 +5000,10 @@ def q_orders_left_outer_agg(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    both = orders.map_batches(order_side, batch_format="pyarrow").union(
-        lineitem.map_batches(line_partial, batch_format="pyarrow")
-    )
+    both = [
+        orders.map_batches(order_side, batch_format="pyarrow"),
+        lineitem.map_batches(line_partial, batch_format="pyarrow"),
+    ]
 
     def left_merge(g: pd.DataFrame) -> pa.Table:
         left = g[g.side == 0]
@@ -5119,7 +5018,7 @@ def q_orders_left_outer_agg(sf_dir: str, n_buckets: int = 32):
             }
         )
 
-    return both.groupby("bucket").map_groups(left_merge, batch_format="pandas")
+    return by_key(both, "orderkey", left_merge)
 
 
 SQL_ORDERS_LEFT_OUTER_AGG = """
@@ -5254,7 +5153,7 @@ def q_dsir_weights(sf_dir: str):
     log p_raw(t)] with add-one smoothing, target = the docs with
     doc_id % 3 == 0 (deterministic domain stand-in).  ONE fused count
     pass produces BOTH distributions (per-batch Table.group_by partials
-    carrying c_all and c_tgt, one crc32(token)-bucketed merge — the
+    carrying c_all and c_tgt, one token-keyed `tiered.count_table` merge — the
     unigram_logprob shape).  Float pin: each side is
     floor(log10((c+1)/(N+V))*1e6) int64 (the libm-bit-identity
     protocol), the doc score an integer SUM.  Scoring is
@@ -5380,9 +5279,9 @@ FROM documents
 """
 
 
-def _lang_token_partial(batch: pa.Table, n_buckets: int) -> pa.Table:
-    """Per-batch (lang, token) count partial, crc32(token)-bucketed —
-    zipf_slope's count pass."""
+def _lang_token_partial(batch: pa.Table) -> pa.Table:
+    """Per-batch (lang, token) count partial — zipf_slope's count
+    pass."""
     toks = pc.split_pattern(batch.column("text"), " ")
     lens = np.asarray(pc.list_value_length(toks), dtype=np.int64)
     langs = np.repeat(np.asarray(batch.column("lang"), dtype=object), lens)
@@ -5395,13 +5294,11 @@ def _lang_token_partial(batch: pa.Table, n_buckets: int) -> pa.Table:
         }
     )
     agg = t.group_by(["lang", "token"]).aggregate([("n", "sum")])
-    buckets = crc_bucket(agg.column("token"), n_buckets)
     return pa.table(
         {
             "lang": agg.column("lang"),
             "token": agg.column("token"),
             "n": agg.column("n_sum"),
-            "bucket": buckets,
         }
     )
 
@@ -5507,7 +5404,7 @@ WHERE (((CAST(d.doc_id AS HUGEINT) * 2654435761) % 4294967296
 _ZIPF_K = 100
 
 
-def q_zipf_slope(sf_dir: str, k: int = _ZIPF_K, n_buckets: int = 64):
+def q_zipf_slope(sf_dir: str, k: int = _ZIPF_K):
     """Per-language Zipf exponent: OLS slope of log10(count) on
     log10(rank) over the top-k vocabulary (count desc, token asc rank
     order) — the corpus-health statistic a crawl curation run charts per
@@ -5524,14 +5421,12 @@ def q_zipf_slope(sf_dir: str, k: int = _ZIPF_K, n_buckets: int = 64):
     (all-equal x) pins slope to 0.
 
     Scale shape: the vocabulary explosion stays inside scan tasks
-    (per-batch (lang,token) partials), merges through ONE token-bucketed
-    shuffle with per-bucket per-lang top-k pruning (the top_terms shape —
-    the second shuffle carries <= n_buckets * n_langs * k rows), and only
+    (per-batch (lang,token) partials), merges through ONE ``tiered.by_key``
+    shuffle on the token with per-bucket per-lang top-k pruning (the
+    top_terms shape — <= N_BUCKETS * n_langs * k rows come back), and only
     n_langs * k rows reach the driver for the exact-int OLS."""
     ds = _read(sf_dir, "documents", columns=["lang", "text"])
-    part = ds.map_batches(
-        lambda b: _lang_token_partial(b, n_buckets), batch_format="pyarrow"
-    )
+    part = ds.map_batches(_lang_token_partial, batch_format="pyarrow")
 
     def merge_prune(group: pd.DataFrame) -> pd.DataFrame:
         out = group.groupby(["lang", "token"], as_index=False)["n"].sum()
@@ -5542,11 +5437,8 @@ def q_zipf_slope(sf_dir: str, k: int = _ZIPF_K, n_buckets: int = 64):
         )
         return out.groupby("lang", sort=False).head(k)
 
-    cand = (
-        part.groupby("bucket")
-        .map_groups(merge_prune, batch_format="pandas")
-        .to_pandas()  # <= n_buckets * n_langs * k rows
-    )
+    # <= N_BUCKETS * n_langs * k rows
+    cand = by_key(part, "token", merge_prune).to_pandas()
     rows = []
     if len(cand):
         cand = cand.sort_values(
@@ -5601,7 +5493,7 @@ FROM s
 """
 
 
-def q_soft_dedup_weights(sf_dir: str, n_buckets: int = 64):
+def q_soft_dedup_weights(sf_dir: str):
     """SoftDeDup: instead of dropping exact duplicates, down-weight each
     document by its duplicate-cluster size (weight_micro = 1e6 //
     cluster_size) so the training sampler sees each CONTENT once in
@@ -5609,7 +5501,7 @@ def q_soft_dedup_weights(sf_dir: str, n_buckets: int = 64):
     hard dedup is too lossy.
 
     Scale shape: content never shuffles — each scan task md5s its rows
-    and ships (doc_id, key) only; ONE bounded bucket shuffle (a key lives
+    and ships (doc_id, key) only; ONE ``tiered.by_key`` shuffle (a key lives
     in one bucket) computes exact cluster sizes and emits every member
     with its weight.  md5 is the SQL-shared key (DuckDB md5(text)), so
     the oracle is a pure window COUNT."""
@@ -5624,12 +5516,10 @@ def q_soft_dedup_weights(sf_dir: str, n_buckets: int = 64):
             hashlib.md5(s.encode()).hexdigest()
             for s in batch.column("text").to_pylist()
         ]
-        buckets = crc_bucket(keys, n_buckets)
         return pa.table(
             {
                 "doc_id": batch.column("doc_id"),
                 "key": pa.array(keys, type=pa.string()),
-                "bucket": pa.array(buckets, type=pa.int64()),
             }
         )
 
@@ -5645,7 +5535,7 @@ def q_soft_dedup_weights(sf_dir: str, n_buckets: int = 64):
             }
         )
 
-    return keyed.groupby("bucket").map_groups(weights, batch_format="pandas")
+    return by_key(keyed, "key", weights)
 
 
 SQL_SOFT_DEDUP_WEIGHTS = """
@@ -5786,8 +5676,9 @@ def q_nb_classify(sf_dir: str):
     a bounded categorical, so the per-token lang lists are narrow).
     Scoring is `tiered.keyed_sum` with k = L: the dense (V x L) grid
     broadcasts once, or past `tiered.BROADCAST_LIMIT` tokens its rows
-    are built per bucket and attached through token buckets; the lang
-    column rides the all-docs side table of the doc-bucketed merge."""
+    are built per bucket and attached through `tiered.by_key` on the
+    token; the lang column rides the all-docs side table of the doc-keyed
+    merge."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "text"])
     return keyed_sum(
         ds,
@@ -5800,7 +5691,7 @@ def q_nb_classify(sf_dir: str):
     )
 
 
-def q_audio_sample_dup_groups(sf_dir: str, n_buckets: int = 64):
+def q_audio_sample_dup_groups(sf_dir: str):
     """Cross-codec AUDIO dedup on DECODED SAMPLES — completes the
     image/video/audio dedup trio: the same 8-bit-quantized signal
     written as 8-bit PCM, 16-bit PCM, 32-bit PCM, IEEE float32, and
@@ -5848,12 +5739,10 @@ def q_audio_sample_dup_groups(sf_dir: str, n_buckets: int = 64):
             )
             keys.append(h.hexdigest())
             containers.append(container)
-        return _pixel_key_table(ids, keys, containers, n_buckets)
+        return _pixel_key_table(ids, keys, containers)
 
     keyed = ds.map_batches(synth_hash, batch_format="pyarrow", batch_size=64)
-    return keyed.groupby("bucket").map_groups(
-        _pixel_dup_merge, batch_format="pandas"
-    )
+    return by_key(keyed, "pixel_key", _pixel_dup_merge)
 
 
 SQL_AUDIO_SAMPLE_DUP_GROUPS = """
@@ -6054,7 +5943,7 @@ def _bpe_apply_merges(
     return flat, lens
 
 
-def q_bpe_train_merges(sf_dir: str, n_merges: int = 3, n_buckets: int = 64):
+def q_bpe_train_merges(sf_dir: str, n_merges: int = 3):
     """BPE tokenizer-training LOOP (the iterative sibling of the
     single-shot bpe_merge_pairs statistic): ``n_merges`` rounds of
     [recount all adjacent token pairs corpus-wide under the merges
@@ -6071,8 +5960,8 @@ def q_bpe_train_merges(sf_dir: str, n_merges: int = 3, n_buckets: int = 64):
     Scale shape: the classic distributed BPE trainer — k streaming
     passes over the corpus, each applying the (tiny, broadcast-by-
     value) merge list in the scan task and counting pairs via in-task
-    partials + ONE crc32(pair)-bucketed merge with per-bucket argmax
-    pruning; only n_buckets candidate rows reach the driver per
+    partials + ONE ``tiered.by_key`` merge on the pair with per-bucket
+    argmax pruning; only N_BUCKETS candidate rows reach the driver per
     round."""
     # read once: every round rescans the same blocks
     ds = _read(sf_dir, "documents", columns=["text"]).materialize()
@@ -6092,7 +5981,6 @@ def q_bpe_train_merges(sf_dir: str, n_merges: int = 3, n_buckets: int = 64):
             pi = np.flatnonzero(mask)
             df = pd.DataFrame({"p": flat[pi] + "\x01" + flat[pi + 1]})
             g = df.groupby("p", as_index=False).size()
-            g["bucket"] = crc_bucket(g.p, n_buckets)
             return pa.Table.from_pandas(
                 g.rename(columns={"size": "c"}), preserve_index=False
             )
@@ -6102,12 +5990,9 @@ def q_bpe_train_merges(sf_dir: str, n_merges: int = 3, n_buckets: int = 64):
             g = g.sort_values(["c", "p"], ascending=[False, True], kind="mergesort")
             return g.head(1)[["p", "c"]]
 
-        cand = (
-            ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(bucket_top1, batch_format="pandas")
-            .to_pandas()  # <= n_buckets rows
-        )
+        cand = by_key(
+            ds.map_batches(partial, batch_format="pyarrow"), "p", bucket_top1
+        ).to_pandas()  # <= N_BUCKETS rows
         if not len(cand):
             break
         cand = cand.sort_values(["c", "p"], ascending=[False, True], kind="mergesort")
@@ -6172,7 +6057,7 @@ def _bpe_sql(n_merges: int = 3) -> str:
 SQL_BPE_TRAIN_MERGES = _bpe_sql(3)
 
 
-def q_snapshot_full_outer(sf_dir: str, n_buckets: int = 64):
+def q_snapshot_full_outer(sf_dir: str):
     """Snapshot diff as a FULL OUTER join — the join-algebra member the
     registry lacked (inner/left/anti/semi/range/as-of are covered): per
     leading-content fingerprint, how many docs carry it in the PRIOR
@@ -6182,7 +6067,7 @@ def q_snapshot_full_outer(sf_dir: str, n_buckets: int = 64):
 
     Scale shape: both sides collapse to per-task (key, side) count
     partials BEFORE the shuffle (content never moves — 8-word keys md5
-    to 16 bytes), then ONE key-bucketed merge pivots prior/new counts
+    to 16 bytes), then ONE ``tiered.by_key`` merge pivots prior/new counts
     with zero-fill; per-bucket groups are exact because a key lives in
     one bucket."""
     import hashlib
@@ -6197,7 +6082,6 @@ def q_snapshot_full_outer(sf_dir: str, n_buckets: int = 64):
         ]
         df = pd.DataFrame({"k": keys, "prior": (ids % 3 == 0).astype(np.int64)})
         g = df.groupby(["k", "prior"], as_index=False).size()
-        g["bucket"] = crc_bucket(g.k, n_buckets)
         return pa.Table.from_pandas(
             g.rename(columns={"size": "c"}), preserve_index=False
         )
@@ -6217,11 +6101,7 @@ def q_snapshot_full_outer(sf_dir: str, n_buckets: int = 64):
             {"fp_md5": piv.index.to_numpy(object), "n_prior": n_prior, "n_new": n_new}
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return by_key(ds.map_batches(partial, batch_format="pyarrow"), "k", merge)
 
 
 SQL_SNAPSHOT_FULL_OUTER = """
@@ -6255,7 +6135,7 @@ def _pairs(batch: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _bigram_counts(ds):
     """Materialized (key = pair, c2, c1 = count of its first token)
     table and the vocabulary size V.  Pair partials and the unigram
-    rows meet in crc32(w1) buckets, so c1 attaches where c2 merges."""
+    rows meet by w1 in ``tiered.by_key``, so c1 attaches where c2 merges."""
     uni = count_table(ds, _uni_count_partial)
     PAIR_ROW, TOKEN_ROW = 0, 1
 
@@ -6274,7 +6154,6 @@ def _bigram_counts(ds):
         )
         return pa.table(
             {
-                "bucket": pa.array(crc_bucket(agg["w1"], 64)),
                 "kind": pa.array(np.full(agg.num_rows, PAIR_ROW), type=pa.int8()),
                 "w1": agg["w1"],
                 "key": agg["key"],
@@ -6285,7 +6164,6 @@ def _bigram_counts(ds):
     def token_rows(rows: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "bucket": pa.array(crc_bucket(rows["key"], 64)),
                 "kind": pa.array(np.full(rows.num_rows, TOKEN_ROW), type=pa.int8()),
                 "w1": rows["key"],
                 "key": pa.nulls(rows.num_rows, pa.string()),
@@ -6310,13 +6188,15 @@ def _bigram_counts(ds):
             }
         )
 
-    pairs = (
-        ds.map_batches(pair_rows, batch_format="pyarrow")
-        .union(uni.map_batches(token_rows, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pyarrow")
-        .materialize()
-    )
+    pairs = by_key(
+        [
+            ds.map_batches(pair_rows, batch_format="pyarrow"),
+            uni.map_batches(token_rows, batch_format="pyarrow"),
+        ],
+        "w1",
+        merge,
+        batch_format="pyarrow",
+    ).materialize()
     return pairs, uni.count()
 
 
@@ -6332,8 +6212,8 @@ def q_bigram_logprob(sf_dir: str):
     Pins are the unigram op's: int/int quotient then the fuzz-pinned
     log10, per-doc sums integer.
 
-    Scale shape: a token-bucketed unigram count, then one
-    crc32(w1)-bucketed pass that merges pair counts and attaches c1;
+    Scale shape: a token-keyed unigram count, then one
+    ``tiered.by_key`` pass on w1 that merges pair counts and attaches c1;
     scoring is `tiered.keyed_sum` over pair keys (broadcast, or past
     `tiered.BROADCAST_LIMIT` pairs the pair-bucketed attach whose
     all-docs side table gives the zero-pair docs)."""

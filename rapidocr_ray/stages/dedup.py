@@ -3,17 +3,17 @@
 
 Every operator is Ray-Data-first and scale-shaped.  A recurring design
 rule here: **never groupby into millions of tiny python groups**.
-High-cardinality keys (shingle, band-hash) are folded into a bounded
-number of hash buckets first; within a bucket the work is a vectorized
-pandas merge; cross-bucket combination is a C-level
-``groupby().aggregate``.  The only per-group python calls left are on
-small, low-cardinality groups.
+High-cardinality keys (shingle, band-hash) meet in the bounded buckets
+of ``tiered.by_key``; within a bucket the work is a vectorized pandas
+merge; cross-bucket combination is a C-level ``groupby().aggregate``.
+The only per-group python calls left are on small, low-cardinality
+groups.
 
 Operators:
-- exact dedup: content-hash column (vectorized map_batches) -> bounded
-  bucket shuffle -> per-bucket vectorized keep-min-id.
+- exact dedup: content-hash column (vectorized map_batches) -> one
+  ``by_key`` shuffle on it -> per-bucket vectorized keep-min-id.
 - MinHash-LSH near-dup: signatures (task map) -> SLIM band rows
-  (doc_id, band_hash, bucket — never the signature) -> bucket merge ->
+  (doc_id, band_hash — never the signature) -> band-keyed merge ->
   deduped candidates -> signatures attached via two bucketed joins ->
   signature-agreement estimate >= t.
 - SimHash: 64-bit signature + bit-prefix bucket key.
@@ -44,13 +44,12 @@ from rapidocr_ray.functions.hashing import (
     shingle_set_hashes,
 )
 from rapidocr_ray.functions.textstats import fingerprint_md5
+from rapidocr_ray.stages.tiered import by_key
 from rapidocr_ray.util import (
     broadcast_get,
     ensure_worker_importable,
     stack_list_column,
 )
-
-N_BUCKETS = 256  # bounded shuffle fan-in for high-cardinality keys
 
 
 # ---------------------------------------------------------------------------
@@ -69,28 +68,18 @@ def add_content_hash(batch: pa.Table, text_col: str = "text") -> pa.Table:
 
 
 def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
-    """Keep the min-id row per distinct text, hash-partitioned into a
-    BOUNDED number of buckets (per the module design rule: one
-    vectorized pandas call per bucket, never one python call per
-    distinct text — content_hash cardinality is the corpus size)."""
+    """Keep the min-id row per distinct text; rows meet by content hash
+    in ``tiered.by_key`` (per the module design rule: one vectorized
+    pandas call per bucket, never one python call per distinct text —
+    content_hash cardinality is the corpus size)."""
     ensure_worker_importable()
-
-    def hash_and_bucket(t: pa.Table) -> pa.Table:
-        t = add_content_hash(t, text_col)
-        h = np.array(
-            [int(x[:8], 16) for x in t.column("content_hash").to_pylist()],
-            dtype=np.uint64,
-        )
-        return t.append_column("bucket", pa.array(h % N_BUCKETS, type=pa.uint64()))
-
-    ds = ds.map_batches(hash_and_bucket, batch_format="pyarrow")
+    ds = ds.map_batches(lambda t: add_content_hash(t, text_col), batch_format="pyarrow")
 
     def keep_first(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values([id_col], kind="mergesort")
-        out = g.drop_duplicates("content_hash", keep="first")
-        return out.drop(columns=["bucket"])
+        return g.drop_duplicates("content_hash", keep="first")
 
-    return ds.groupby("bucket").map_groups(keep_first, batch_format="pandas")
+    return by_key(ds, "content_hash", keep_first)
 
 
 # ---------------------------------------------------------------------------
@@ -138,25 +127,11 @@ def minhash_signatures(ds, n_perm: int = 128, k: int = 3, seed: int = 7):
 
 
 def _dedup_pairs(ds):
-    """Drop duplicate (doc_a, doc_b) rows with one bucketed pass: a
-    pair discovered in several LSH bands/buckets appears several times,
-    and every copy shares doc_a, hence lands in the same pbucket.
-    Extra columns ride along untouched."""
-
-    def pair_bucket(b: pa.Table) -> pa.Table:
-        a = b.column("doc_a").to_numpy(zero_copy_only=False).astype(np.uint64)
-        return b.append_column(
-            "pbucket", pa.array((a * _PHI) % N_BUCKETS, type=pa.uint64())
-        )
-
-    def drop_dup(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["doc_a", "doc_b"]).drop(columns=["pbucket"])
-
-    return (
-        ds.map_batches(pair_bucket, batch_format="pyarrow")
-        .groupby("pbucket")
-        .map_groups(drop_dup, batch_format="pandas")
-    )
+    """Drop duplicate (doc_a, doc_b) rows with one ``by_key`` pass on
+    doc_a: a pair discovered in several LSH bands/buckets appears
+    several times, and every copy shares doc_a.  Extra columns ride
+    along untouched."""
+    return by_key(ds, "doc_a", lambda g: g.drop_duplicates(["doc_a", "doc_b"]))
 
 
 def _sig_matrix(tables: list):
@@ -200,7 +175,7 @@ def minhash_lsh_pairs(
     with est_jaccard (signature agreement fraction) >= threshold.
 
     Scale shape: signatures are n_perm*8 bytes/doc regardless of doc
-    size; band rows carry only (doc_id, band_hash, bucket), never the
+    size; band rows carry only (doc_id, band_hash), never the
     signature, so the banding shuffle is n_bands narrow rows per doc
     instead of n_bands full signature copies.  Candidate pairing is a
     vectorized merge per bounded bucket.
@@ -217,13 +192,7 @@ def minhash_lsh_pairs(
     hasher = MinHasher(n_perm=n_perm, seed=seed)
     sig_ds = minhash_signatures(ds, n_perm=n_perm, k=k, seed=seed).materialize()
 
-    band_schema = pa.schema(
-        [
-            ("doc_id", pa.int64()),
-            ("band_hash", pa.uint64()),
-            ("bucket", pa.uint64()),
-        ]
-    )
+    band_schema = pa.schema([("doc_id", pa.int64()), ("band_hash", pa.uint64())])
 
     def explode_bands(batch: pa.Table) -> pa.Table:
         """sig is a fixed-length (n_perm) uint64 list column: the whole
@@ -246,10 +215,7 @@ def minhash_lsh_pairs(
         doc = np.repeat(
             np.asarray(batch.column("doc_id"), dtype=np.int64), n_bands
         )
-        return pa.table(
-            {"doc_id": doc, "band_hash": bh, "bucket": bh % np.uint64(N_BUCKETS)},
-            schema=band_schema,
-        )
+        return pa.table({"doc_id": doc, "band_hash": bh}, schema=band_schema)
 
     band_ds = sig_ds.map_batches(explode_bands, batch_format="pyarrow")
 
@@ -280,10 +246,7 @@ def minhash_lsh_pairs(
                 schema=out_schema,
             )
 
-        scored = band_ds.groupby("bucket").map_groups(
-            bucket_pairs_scored, batch_format="pandas"
-        )
-        return _dedup_pairs(scored)
+        return _dedup_pairs(by_key(band_ds, "band_hash", bucket_pairs_scored))
 
     cand_schema = pa.schema(
         [
@@ -311,7 +274,7 @@ def minhash_lsh_pairs(
             schema=cand_schema,
         )
 
-    cand_ds = band_ds.groupby("bucket").map_groups(bucket_pairs, batch_format="pandas")
+    cand_ds = by_key(band_ds, "band_hash", bucket_pairs)
 
     def score(m: pd.DataFrame) -> pa.Table:
         sig_a = np.stack([np.asarray(x, dtype=np.uint64) for x in m.sh_a.to_numpy()])
@@ -426,9 +389,9 @@ def ngram_jaccard_pairs(
        passes, no broadcast of the signature table) with both docs'
        exact shingle SETS; true intersection -> exact jaccard.
 
-    No Ray groupby runs on a high-cardinality key: every shuffle is
-    over the bounded ``bucket`` column and every per-group call is one
-    vectorized pandas operation per bucket."""
+    No Ray groupby runs on a high-cardinality key: every shuffle is a
+    ``tiered.by_key`` over its bounded buckets and every per-group call
+    is one vectorized pandas operation per bucket."""
     import ray
 
     ensure_worker_importable()
@@ -464,9 +427,7 @@ def ngram_jaccard_pairs(
     sig_ds = ds.map_batches(sigs, batch_format="pyarrow").materialize()
 
     # --- pass 2: global shingle document frequencies (heavy hitters) ---
-    df_part_schema = pa.schema(
-        [("h", pa.int64()), ("c", pa.int64()), ("bucket", pa.uint64())]
-    )
+    df_part_schema = pa.schema([("h", pa.int64()), ("c", pa.int64())])
 
     def partial_df(batch: pa.Table) -> pa.Table:
         # keys as SIGNED int64 (uint64 wrap): Ray's sort/aggregate path
@@ -480,12 +441,7 @@ def ngram_jaccard_pairs(
             return df_part_schema.empty_table()
         uniq, counts = np.unique(flat, return_counts=True)
         return pa.table(
-            {
-                "h": uniq,
-                "c": counts.astype(np.int64),
-                "bucket": (uniq.astype(np.uint64) + np.uint64(1 << 63)) % N_BUCKETS,
-            },
-            schema=df_part_schema,
+            {"h": uniq, "c": counts.astype(np.int64)}, schema=df_part_schema
         )
 
     def bucket_df(group: pd.DataFrame) -> pa.Table:
@@ -503,12 +459,9 @@ def ngram_jaccard_pairs(
             schema=pa.schema([("h", pa.int64()), ("df", pa.int64())]),
         )
 
-    df_ds = (
-        sig_ds.map_batches(partial_df, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_df, batch_format="pandas")
-        .materialize()  # count() + take_all() would execute the chain twice
-    )
+    df_ds = by_key(
+        sig_ds.map_batches(partial_df, batch_format="pyarrow"), "h", bucket_df
+    ).materialize()  # count() + take_all() would execute the chain twice
     n_hot = df_ds.count()
     if n_hot > max_hot:
         raise ValueError(
@@ -530,7 +483,6 @@ def ngram_jaccard_pairs(
             ("shingle", pa.string()),
             ("pos", pa.int64()),
             ("n_sh", pa.int64()),
-            ("bucket", pa.uint64()),
         ]
     )
 
@@ -571,10 +523,6 @@ def ngram_jaccard_pairs(
                 "shingle": flat_sh.take(pa.array(sel)),
                 "pos": pa.array(rank[keep]),
                 "n_sh": pa.array(ns[doc_sel]),
-                "bucket": pa.array(
-                    (flat_h[sel].astype(np.uint64) + np.uint64(1 << 63)) % N_BUCKETS,
-                    type=pa.uint64(),
-                ),
             },
             schema=prefix_schema,
         )
@@ -612,7 +560,7 @@ def ngram_jaccard_pairs(
         )
         return out[["doc_a", "doc_b", "na", "nb"]]
 
-    cand_ds = pref_ds.groupby("bucket").map_groups(cand, batch_format="pandas")
+    cand_ds = by_key(pref_ds, "shingle", cand)
 
     # --- pass 5: verify (adaptive, mirroring minhash_lsh_pairs) ---
     # While the shingle table fits the broadcast budget its blocks are
@@ -705,7 +653,6 @@ def _pair_attach_score(cand_ds, sig_ds, sig_col, payload_type, score_fn, out_sch
             ("nb", pa.int64()),
             ("sh", payload_type),
             ("sh_a", payload_type),
-            ("bucket", pa.uint64()),
         ]
     )
     nulls = {f.name: None for f in schema}
@@ -721,7 +668,6 @@ def _pair_attach_score(cand_ds, sig_ds, sig_col, payload_type, score_fn, out_sch
             doc_b=batch.column("doc_b"),
             na=batch.column("na"),
             nb=batch.column("nb"),
-            bucket=(a.astype(np.uint64) * _PHI) % N_BUCKETS,
         )
         return pa.table(
             {f.name: cols[f.name] if cols[f.name] is not None else pa.nulls(n, f.type)
@@ -744,7 +690,6 @@ def _pair_attach_score(cand_ds, sig_ds, sig_col, payload_type, score_fn, out_sch
             key=d,
             tag=np.full(n, "s", dtype=object),
             sh=batch.column(sig_col),
-            bucket=(d.astype(np.uint64) * _PHI) % N_BUCKETS,
         )
         return pa.table(
             {f.name: cols[f.name] if cols[f.name] is not None else pa.nulls(n, f.type)
@@ -752,9 +697,7 @@ def _pair_attach_score(cand_ds, sig_ds, sig_col, payload_type, score_fn, out_sch
             schema=schema,
         )
 
-    stage1 = cand_ds.map_batches(cand_to_attach, batch_format="pyarrow").union(
-        sig_ds.map_batches(sig_to_attach, batch_format="pyarrow")
-    )
+    sig_side = sig_ds.map_batches(sig_to_attach, batch_format="pyarrow")
 
     def attach_a(group: pd.DataFrame) -> pa.Table:
         sig = group[group.tag == "s"][["key", "sh"]]
@@ -774,16 +717,15 @@ def _pair_attach_score(cand_ds, sig_ds, sig_col, payload_type, score_fn, out_sch
                 "nb": pa.array(m.nb.to_numpy().astype(np.int64)),
                 "sh": pa.nulls(n, type=payload_type),
                 "sh_a": pa.array([list(x) for x in m.sh.to_numpy()], type=payload_type),
-                "bucket": pa.array(
-                    (b.astype(np.uint64) * _PHI) % N_BUCKETS, type=pa.uint64()
-                ),
             },
             schema=schema,
         )
 
-    stage1_out = stage1.groupby("bucket").map_groups(attach_a, batch_format="pandas")
-
-    stage2 = stage1_out.union(sig_ds.map_batches(sig_to_attach, batch_format="pyarrow"))
+    stage1_out = by_key(
+        [cand_ds.map_batches(cand_to_attach, batch_format="pyarrow"), sig_side],
+        "key",
+        attach_a,
+    )
 
     def attach_b_and_score(group: pd.DataFrame) -> pa.Table:
         sig = group[group.tag == "s"][["key", "sh"]]
@@ -795,7 +737,7 @@ def _pair_attach_score(cand_ds, sig_ds, sig_col, payload_type, score_fn, out_sch
             return out_schema.empty_table()
         return score_fn(m)
 
-    return stage2.groupby("bucket").map_groups(attach_b_and_score, batch_format="pandas")
+    return by_key([stage1_out, sig_side], "key", attach_b_and_score)
 
 
 def _verify_jaccard_pairs(cand_ds, sig_ds, threshold: float):
@@ -833,24 +775,15 @@ def _verify_jaccard_pairs(cand_ds, sig_ds, threshold: float):
 # ---------------------------------------------------------------------------
 
 
-_PHI = np.uint64(2654435761)
-
 _LKP_SCHEMA = pa.schema(
     [
         ("key", pa.int64()),
         ("req", pa.int64()),
         ("label", pa.int64()),
         ("kind", pa.string()),
-        ("bucket", pa.uint64()),
     ]
 )
-_LAB_SCHEMA = pa.schema(
-    [("doc_id", pa.int64()), ("label", pa.int64()), ("bucket", pa.uint64())]
-)
-
-
-def _node_bucket(x: np.ndarray) -> np.ndarray:
-    return (x.astype(np.uint64) * _PHI) % N_BUCKETS
+_LAB_SCHEMA = pa.schema([("doc_id", pa.int64()), ("label", pa.int64())])
 
 
 def _labels_for_lookup(labels):
@@ -862,7 +795,6 @@ def _labels_for_lookup(labels):
                 "req": pa.nulls(len(d), pa.int64()),
                 "label": batch.column("label"),
                 "kind": pa.array(["l"] * len(d)),
-                "bucket": pa.array(_node_bucket(d), type=pa.uint64()),
             },
             schema=_LKP_SCHEMA,
         )
@@ -872,11 +804,9 @@ def _labels_for_lookup(labels):
 
 def _lookup_labels(requests, labels):
     """(key, req) request rows -> (doc_id=req, label=label(key)) via a
-    bucketed hash join: union-with-tag, shuffle on the bounded bucket
-    column, one vectorized merge per bucket.  No broadcast, no
-    driver-side map — the distributed-join primitive the whole
-    dup_groups loop rides on."""
-    u = requests.union(_labels_for_lookup(labels))
+    ``tiered.by_key`` join on key: union-with-tag, one vectorized merge
+    per bucket.  No broadcast, no driver-side map — the distributed-join
+    primitive the whole dup_groups loop rides on."""
 
     def res(g: pd.DataFrame) -> pa.Table:
         lab = g[g.kind == "l"]
@@ -886,33 +816,31 @@ def _lookup_labels(requests, labels):
         m = req[["key", "req"]].merge(lab[["key", "label"]], on="key")
         if m.empty:
             return _LAB_SCHEMA.empty_table()
-        r = m.req.to_numpy().astype(np.int64)
         return pa.table(
             {
-                "doc_id": pa.array(r),
+                "doc_id": pa.array(m.req.to_numpy().astype(np.int64)),
                 "label": pa.array(m.label.to_numpy().astype(np.int64)),
-                "bucket": pa.array(_node_bucket(r), type=pa.uint64()),
             },
             schema=_LAB_SCHEMA,
         )
 
-    return u.groupby("bucket").map_groups(res, batch_format="pandas")
+    return by_key([requests, _labels_for_lookup(labels)], "key", res)
 
 
-def _bucket_min_labels(ds):
+def _min_labels(inputs):
+    """Per-node min label over the label rows of ``inputs``."""
+
     def mn(g: pd.DataFrame) -> pa.Table:
         agg = g.groupby("doc_id", sort=False)["label"].min().reset_index()
-        d = agg.doc_id.to_numpy().astype(np.int64)
         return pa.table(
             {
-                "doc_id": pa.array(d),
+                "doc_id": pa.array(agg.doc_id.to_numpy().astype(np.int64)),
                 "label": pa.array(agg.label.to_numpy().astype(np.int64)),
-                "bucket": pa.array(_node_bucket(d), type=pa.uint64()),
             },
             schema=_LAB_SCHEMA,
         )
 
-    return ds.groupby("bucket").map_groups(mn, batch_format="pandas")
+    return by_key(inputs, "doc_id", mn)
 
 
 def _round_blocks(n_labels: int, target_rows_per_block: int = 65536) -> int:
@@ -969,12 +897,12 @@ def dup_groups(pairs_ds, max_iters: int = 30, local_limit: int = 1_000_000):
     Tiered like pagerank: a pair set that fits the driver comfortably
     (<= local_limit edges; the count is free on the materialized input)
     runs single-process union-find — the distributed loop costs ~3
-    bucketed shuffles per round, pure scheduling overhead at toy scale.
-    Past the limit, fully distributed: every round is (a) a bucketed
-    join of edge endpoints against the label table, (b) a bucketed
-    join of labels against themselves (label-of-label shortcut), (c) a
-    bucketed per-node min.  All shuffles key on the bounded 256-way
-    bucket column; the label table is never collected to the driver.
+    shuffles per round, pure scheduling overhead at toy scale.
+    Past the limit, fully distributed: every round is (a) a join of
+    edge endpoints against the label table, (b) a join of labels
+    against themselves (label-of-label shortcut), (c) a per-node min.
+    All three are ``tiered.by_key`` shuffles; the label table is never
+    collected to the driver.
     Convergence is detected by the label-sum fixpoint: labels are
     positive and monotonically non-increasing under min-combine, so an
     unchanged sum(label) means no label moved."""
@@ -996,7 +924,6 @@ def dup_groups(pairs_ds, max_iters: int = 30, local_limit: int = 1_000_000):
                 "req": pa.array(req),
                 "label": pa.nulls(n, pa.int64()),
                 "kind": pa.array(["e"] * n),
-                "bucket": pa.array(_node_bucket(key), type=pa.uint64()),
             },
             schema=_LKP_SCHEMA,
         )
@@ -1005,19 +932,17 @@ def dup_groups(pairs_ds, max_iters: int = 30, local_limit: int = 1_000_000):
         a = batch.column("doc_a").to_numpy(zero_copy_only=False).astype(np.int64)
         b = batch.column("doc_b").to_numpy(zero_copy_only=False).astype(np.int64)
         lab = np.minimum(a, b)
-        d = np.concatenate([a, b])
         return pa.table(
             {
-                "doc_id": pa.array(d),
+                "doc_id": pa.array(np.concatenate([a, b])),
                 "label": pa.array(np.concatenate([lab, lab])),
-                "bucket": pa.array(_node_bucket(d), type=pa.uint64()),
             },
             schema=_LAB_SCHEMA,
         )
 
     # already materialized above (consumed twice below)
     edges_req = pairs_ds.map_batches(edge_requests, batch_format="pyarrow").materialize()
-    labels = _bucket_min_labels(
+    labels = _min_labels(
         pairs_ds.map_batches(seed_rows, batch_format="pyarrow")
     ).materialize()
     # per-round block budget scales with the label-table size (count is
@@ -1038,7 +963,6 @@ def dup_groups(pairs_ds, max_iters: int = 30, local_limit: int = 1_000_000):
                 "req": pa.array(d),
                 "label": pa.nulls(n, pa.int64()),
                 "kind": pa.array(["e"] * n),
-                "bucket": pa.array(_node_bucket(lab), type=pa.uint64()),
             },
             schema=_LKP_SCHEMA,
         )
@@ -1054,7 +978,7 @@ def dup_groups(pairs_ds, max_iters: int = 30, local_limit: int = 1_000_000):
         # this the block count (and per-round scheduling overhead)
         # compounds geometrically across rounds
         labels = (
-            _bucket_min_labels(labels.union(prop).union(sc))
+            _min_labels([labels, prop, sc])
             .repartition(round_blocks)
             .materialize()
         )

@@ -10,15 +10,15 @@ spirit as the dedup/ANN stages.
 Scale shapes (the part that matters at 10^12 docs / ~10^8 domains):
 
 - ``derive_domain_edges``: resolving a target doc_id to its domain is a
-  BUCKETED HASH JOIN on doc_id — the documents table is never broadcast
-  (it is the big side).  Edge weights partial-aggregate inside each join
-  bucket, then merge in ONE bounded crc32(src,dst) shuffle, so the
+  ``tiered.by_key`` HASH JOIN on doc_id — the documents table is never
+  broadcast (it is the big side).  Edge weights partial-aggregate inside
+  each join bucket, then merge in ONE ``by_key`` shuffle on src, so the
   shuffled edge rows are already collapsed to distinct (src, dst) pairs
   per bucket — at most n_domains^2 rows move, not n_docs * out_links.
 - ``pagerank_int``: the classic iterative all-to-all.  Per iteration:
-  one bounded shuffle co-locating each src's edges with its current
+  one ``by_key`` shuffle co-locating each src's edges with its current
   rank (contributions computed group-locally, pre-aggregated by dst
-  inside the group), then one bounded shuffle merging contributions
+  inside the group), then one ``by_key`` shuffle merging contributions
   onto the node list.  Edges (with out-weight attached) are
   materialized ONCE and reused every iteration; only the rank table
   (one row per domain) re-materializes per round — the same working-set
@@ -41,7 +41,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from rapidocr_ray.functions.hashing import crc_bucket
+from rapidocr_ray.stages.tiered import by_key
 from rapidocr_ray.util import broadcast_get, ensure_worker_importable
 
 TOTAL_NANO = 10**12
@@ -50,7 +50,7 @@ DAMP_DEN = 100
 EDGE_MULT = 48271  # MINSTD multiplier: cheap full-period doc_id scrambler
 
 
-def derive_domain_edges(ds, n_docs: int, out_links: int = 3, n_buckets: int = 64):
+def derive_domain_edges(ds, n_docs: int, out_links: int = 3):
     """(doc_id, source) Dataset -> weighted domain edge list
     ``(src:string, dst:string, w:int64)``.
 
@@ -87,28 +87,6 @@ def derive_domain_edges(ds, n_docs: int, out_links: int = 3, n_buckets: int = 64
             }
         )
 
-    def bucket_key(batch: pa.Table) -> pa.Table:
-        keys = np.asarray(batch.column("key"))
-        return batch.append_column(
-            "bucket",
-            pa.array((keys * 2654435761 % 2**32) % n_buckets, type=pa.int64()),
-        )
-
-    both = (
-        ds.map_batches(link_side, batch_format="pyarrow")
-        .union(ds.map_batches(doc_side, batch_format="pyarrow"))
-        .map_batches(bucket_key, batch_format="pyarrow")
-    )
-    # tiny-input guard: sort-shuffle cost scales with INPUT BLOCK COUNT
-    # (sample + partition task per block), and a small parquet read
-    # fans out to ~2x-CPU near-empty blocks.  Row count is known a
-    # priori from n_docs, so coalesce only when the whole union is
-    # under 64 full blocks — the condition is provably false at real
-    # scale, where Ray's natural blocking stands and no extra pass runs.
-    union_rows = n_docs * (out_links + 1)
-    if union_rows < 64 * 65536:
-        both = both.repartition(max(4, (union_rows + 65535) // 65536))
-
     def join_and_partial(group: pd.DataFrame) -> pa.Table:
         # resolve target doc -> its domain, collapse to partial weights
         links = group[group.is_target == 0]
@@ -133,18 +111,14 @@ def derive_domain_edges(ds, n_docs: int, out_links: int = 3, n_buckets: int = 64
             }
         )
 
-    partials = both.groupby("bucket").map_groups(
-        join_and_partial, batch_format="pandas"
+    partials = by_key(
+        [
+            ds.map_batches(link_side, batch_format="pyarrow"),
+            ds.map_batches(doc_side, batch_format="pyarrow"),
+        ],
+        "key",
+        join_and_partial,
     )
-
-    def edge_bucket(batch: pa.Table) -> pa.Table:
-        keys = [
-            f"{s}\x00{d}"
-            for s, d in zip(
-                batch.column("src").to_pylist(), batch.column("dst").to_pylist()
-            )
-        ]
-        return batch.append_column("bucket", pa.array(crc_bucket(keys, n_buckets)))
 
     def merge_w(group: pd.DataFrame) -> pa.Table:
         agg = group.groupby(["src", "dst"], sort=False)["w"].sum().reset_index()
@@ -156,11 +130,7 @@ def derive_domain_edges(ds, n_docs: int, out_links: int = 3, n_buckets: int = 64
             }
         )
 
-    return (
-        partials.map_batches(edge_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge_w, batch_format="pandas")
-    )
+    return by_key(partials, "src", merge_w)
 
 
 def _pagerank_local(edges_raw, n_iter: int, total: int, damp_num: int, damp_den: int):
@@ -268,7 +238,6 @@ def pagerank_int(
     total: int = TOTAL_NANO,
     damp_num: int = DAMP_NUM,
     damp_den: int = DAMP_DEN,
-    n_buckets: int = 64,
     broadcast_limit: int = 2_000_000,
     edge_local_limit: int = 2_000_000,
 ):
@@ -317,14 +286,7 @@ def pagerank_int(
         return _pagerank_local(edges_raw, n_iter, total, damp_num, damp_den)
     edges_ds = edges_raw
 
-    def src_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "bucket", pa.array(crc_bucket(batch.column("src"), n_buckets))
-        )
-
     def attach_ow(group: pd.DataFrame) -> pa.Table:
-        # the group's bucket IS crc32(src) — carry it through so the
-        # static edge table never needs re-hashing inside the loop
         ow = group.groupby("src", sort=False)["w"].sum().rename("ow")
         m = group.merge(ow, on="src")
         return pa.table(
@@ -334,7 +296,6 @@ def pagerank_int(
                 "w": pa.array(m.w.to_numpy(np.int64), type=pa.int64()),
                 "ow": pa.array(m.ow.to_numpy(np.int64), type=pa.int64()),
                 "r": pa.array(np.full(len(m), -1, dtype=np.int64), type=pa.int64()),
-                "bucket": pa.array(m.bucket.to_numpy(np.int64), type=pa.int64()),
             }
         )
 
@@ -342,7 +303,7 @@ def pagerank_int(
         """Bound block count before re-materializing: map_groups emits
         ~one block per input block and union concatenates block lists,
         so without this the per-iteration sort input grows by
-        O(n_buckets) blocks every round (the dup_groups lesson).
+        O(N_BUCKETS) blocks every round (the dup_groups lesson).
         repartition without shuffle is a cheap split/coalesce, sized
         ~64k rows/block with a floor so tiny sessions stay parallel."""
         target = max(4, min(512, (n_rows + 65535) // 65536))
@@ -350,13 +311,8 @@ def pagerank_int(
 
     # materialized ONCE (single pass — row count is already known from
     # the tier check, so the coalesce chains before the materialize),
-    # reused every iteration with its bucket column baked in
-    edges_w = _coalesce(
-        edges_ds.map_batches(src_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(attach_ow, batch_format="pandas"),
-        n_edges,
-    ).materialize()
+    # reused every iteration
+    edges_w = _coalesce(by_key(edges_ds, "src", attach_ow), n_edges).materialize()
 
     def node_partial(batch: pa.Table) -> pa.Table:
         u = np.unique(
@@ -366,11 +322,6 @@ def pagerank_int(
         )
         return pa.table({"node": pa.array(u, type=pa.string())})
 
-    def node_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "bucket", pa.array(crc_bucket(batch.column("node"), n_buckets))
-        )
-
     def node_unique(group: pd.DataFrame) -> pa.Table:
         return pa.table(
             {"node": pa.array(group.node.drop_duplicates(), type=pa.string())}
@@ -378,13 +329,9 @@ def pagerank_int(
 
     # n_edges > edge_local_limit >= 0 here, so the graph is non-empty
     # and n_nodes >= 1 (the empty case returned from tier 0 above)
-    nodes = (
-        edges_w.map_batches(node_partial, batch_format="pyarrow")
-        .map_batches(node_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(node_unique, batch_format="pandas")
-        .materialize()
-    )
+    nodes = by_key(
+        edges_w.map_batches(node_partial, batch_format="pyarrow"), "node", node_unique
+    ).materialize()
     n_nodes = nodes.count()
 
     tele = (total * (damp_den - damp_num)) // (damp_den * n_nodes)
@@ -404,7 +351,6 @@ def pagerank_int(
                 "w": pa.array(np.full(n, -1, dtype=np.int64), type=pa.int64()),
                 "ow": pa.array(np.full(n, -1, dtype=np.int64), type=pa.int64()),
                 "r": pa.array(np.full(n, r0, dtype=np.int64), type=pa.int64()),
-                "bucket": pa.array(crc_bucket(batch.column("node"), n_buckets)),
             }
         )
 
@@ -420,8 +366,7 @@ def pagerank_int(
             return pa.table(
                 {"node": pa.array([], type=pa.string()),
                  "insum": pa.array([], type=pa.int64()),
-                 "is_node": pa.array([], type=pa.int8()),
-                 "bucket": pa.array([], type=pa.int64())}
+                 "is_node": pa.array([], type=pa.int8())}
             )
         c = (m["rank"].to_numpy(np.int64) // m.ow.to_numpy(np.int64)) * m.w.to_numpy(
             np.int64
@@ -436,10 +381,6 @@ def pagerank_int(
                 "node": pa.array(part.index, type=pa.string()),
                 "insum": pa.array(part.to_numpy(np.int64), type=pa.int64()),
                 "is_node": pa.array(np.zeros(len(part), dtype=np.int8), type=pa.int8()),
-                # dst rows hash to THEIR node's bucket for stage 2 —
-                # the only per-round hashing left (bounded by the
-                # group's distinct dst count, not the edge count)
-                "bucket": pa.array(crc_bucket(part.index, n_buckets)),
             }
         )
 
@@ -450,11 +391,10 @@ def pagerank_int(
                 "node": pa.array(batch.column("node"), type=pa.string()),
                 "insum": pa.array(np.zeros(n, dtype=np.int64), type=pa.int64()),
                 "is_node": pa.array(np.ones(n, dtype=np.int8), type=pa.int8()),
-                "bucket": pa.array(crc_bucket(batch.column("node"), n_buckets)),
             }
         )
 
-    # static per-iteration union sides are built and hashed ONCE
+    # static per-iteration union side is built ONCE
     node_tag_b = _coalesce(
         nodes.map_batches(node_tag, batch_format="pyarrow"), n_nodes
     ).materialize()
@@ -475,21 +415,13 @@ def pagerank_int(
                 "w": pa.array(np.full(n, -1, dtype=np.int64), type=pa.int64()),
                 "ow": pa.array(np.full(n, -1, dtype=np.int64), type=pa.int64()),
                 "r": pa.array(r.astype(np.int64), type=pa.int64()),
-                "bucket": pa.array(node_rows.bucket.to_numpy(np.int64), type=pa.int64()),
             }
         )
 
     for _ in range(n_iter):
-        contrib = (
-            edges_w.union(ranks)
-            .groupby("bucket")
-            .map_groups(contribs, batch_format="pandas")
-        )
+        contrib = by_key([edges_w, ranks], "node", contribs)
         ranks = _coalesce(
-            contrib.union(node_tag_b)
-            .groupby("bucket")
-            .map_groups(new_rank, batch_format="pandas"),
-            n_nodes,
+            by_key([contrib, node_tag_b], "node", new_rank), n_nodes
         ).materialize()
 
     def project(batch: pa.Table) -> pa.Table:

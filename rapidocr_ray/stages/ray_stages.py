@@ -509,24 +509,6 @@ class CascadeStage:
         return rows_to_table(docs)
 
 
-N_URL_BUCKETS = 256  # bounded shuffle fan-in for url-keyed groupbys
-
-
-def add_url_bucket(batch: pa.Table) -> pa.Table:
-    """Stable url hash bucket — the partition key of the strict
-    (hash-bucketed groupby) dedup shuffle, SURVEY.md §7.3.  pandas
-    hash_array is a C-level siphash with a fixed key: deterministic
-    across processes/runs (unlike builtin hash) and vectorized (the
-    round-2 per-row blake2b loop is gone)."""
-    import pandas as pd
-
-    h = pd.util.hash_array(
-        batch.column("url").to_pandas().to_numpy(dtype=object)
-    )
-    buckets = (h % np.uint64(N_URL_BUCKETS)).astype(np.int32)
-    return batch.append_column("url_bucket", pa.array(buckets, type=pa.int32()))
-
-
 def dedup_bucket(group: pa.Table) -> pa.Table:
     """Vectorized latest-capture-wins over ONE url bucket: arrow-native
     sort (url asc, warc_ts desc) + keep-first-per-url via a boundary

@@ -2,9 +2,10 @@
 training-data-pipeline extensions, both with hash-checked oracles.
 
 - Misra-Gries heavy hitters: per-task MG summaries (bounded memory per
-  task regardless of vocabulary size) merged through ONE bounded bucket
-  shuffle, pruned with the summed-decrement error bound, then an EXACT
-  verification pass over the (small) candidate set.  MG's guarantee —
+  task regardless of vocabulary size) merged through ONE
+  ``tiered.by_key`` shuffle on the token, pruned with the
+  summed-decrement error bound, then an EXACT verification pass over
+  the (small) candidate set.  MG's guarantee —
   a token with true count >= threshold can never be evicted from every
   summary once the global decrement bound is honored — makes the final
   output the exact heavy-hitter set, so the whole operator is checkable
@@ -12,12 +13,12 @@ training-data-pipeline extensions, both with hash-checked oracles.
 - HyperLogLog distinct-per-key: per-task register partials (one
   4 KB row per key per task, never the token stream) merged by
   elementwise max — the canonical mergeable-sketch shuffle shape — and
-  cross-checked in the same query against an exact bucketed distinct
+  cross-checked in the same query against an exact token-keyed distinct
   count; the emitted row carries the exact count (hash-checked) plus an
   estimate-within-tolerance boolean whose oracle is the constant TRUE.
 
 Scale shapes: the token explosion never leaves the map task in either
-operator; every shuffle key is bounded (hash bucket / key column); the
+operator; every shuffle key is bounded (``by_key`` bucket / key column); the
 only driver-side materializations are per-key register rows and the
 candidate set, both O(keys + candidates), never the corpus.
 """
@@ -30,9 +31,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from rapidocr_ray.functions.hashing import _stable_hash64
+from rapidocr_ray.stages.tiered import by_key
 from rapidocr_ray.util import broadcast_get, ensure_worker_importable
-
-_MG_BUCKETS = 64
 
 
 def mg_compress(tokens: np.ndarray, weights: np.ndarray, m: int):
@@ -61,21 +61,20 @@ def misra_gries_heavy_hitters(ds, text_col: str = "text", m: int = 4096,
        batch vocabulary.
     2. the small summary stream is materialized once; total tokens N
        and global decrement D are two scalar sums over sentinel rows.
-    3. bucketed merge (token -> one bucket, so per-bucket sums are
+    3. ``by_key`` merge (token -> one bucket, so per-bucket sums are
        exact over the summaries): candidates are tokens whose summed
        MG weight >= threshold - D.  MG guarantee: summed weight >=
        true - D, so no true heavy hitter is missing.
     4. exact verify: candidate set broadcast (small by construction),
-       second pass counts ONLY candidate tokens, bounded bucket merge,
+       second pass counts ONLY candidate tokens, ``by_key`` merge,
        filter >= threshold.  Output is the exact answer: (token, n).
     """
     import ray
 
     ensure_worker_importable()
-    _DEC = _MG_BUCKETS  # sentinel bucket outside the merge range
 
     part_schema = pa.schema(
-        [("token", pa.string()), ("w", pa.int64()), ("bucket", pa.int64())]
+        [("token", pa.string()), ("w", pa.int64()), ("sentinel", pa.bool_())]
     )
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -86,15 +85,12 @@ def misra_gries_heavy_hitters(ds, text_col: str = "text", m: int = 4096,
         t = np.asarray(agg.column("token"), dtype=object)
         w = np.asarray(agg.column("token_count"), dtype=np.int64)
         t, w, dec = mg_compress(t, w, m)
-        buckets = np.fromiter(
-            (_stable_hash64(s) % _MG_BUCKETS for s in t), dtype=np.int64, count=len(t)
-        )
         # sentinel: w = this task's decrement, token = its token total
         return pa.table(
             {
                 "token": np.append(t, str(len(toks))),
                 "w": np.append(w, dec),
-                "bucket": np.append(buckets, _DEC),
+                "sentinel": np.append(np.zeros(len(t), dtype=bool), True),
             },
             schema=part_schema,
         )
@@ -102,7 +98,7 @@ def misra_gries_heavy_hitters(ds, text_col: str = "text", m: int = 4096,
     # the summary stream is O(n_tasks * m) — the small intermediate —
     # and is consumed twice (scalars + merge), so materialize it once
     part = ds.map_batches(partial, batch_format="pyarrow").materialize()
-    sent = part.filter(lambda r: r["bucket"] == _DEC).to_pandas()
+    sent = part.filter(lambda r: r["sentinel"]).to_pandas()
     # empty-corpus guard: a zero-block dataset loses its schema through
     # map_batches, so the sentinel frame may arrive column-less
     n_total = int(sent.token.astype(np.int64).sum()) if len(sent) else 0
@@ -126,17 +122,10 @@ def misra_gries_heavy_hitters(ds, text_col: str = "text", m: int = 4096,
         g = g[g.w >= threshold - d_global]
         return g[["token"]]
 
-    cand = (
-        part.filter(lambda r: r["bucket"] != _DEC)
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
-    )
+    cand = by_key(part.filter(lambda r: not r["sentinel"]), "token", merge).to_pandas()
     cand_ref = ray.put(frozenset(cand.token) if len(cand) else frozenset())
 
-    exact_schema = pa.schema(
-        [("token", pa.string()), ("n", pa.int64()), ("bucket", pa.int64())]
-    )
+    exact_schema = pa.schema([("token", pa.string()), ("n", pa.int64())])
 
     def exact_partial(batch: pa.Table) -> pa.Table:
         cset = broadcast_get(cand_ref)
@@ -148,10 +137,7 @@ def misra_gries_heavy_hitters(ds, text_col: str = "text", m: int = 4096,
         keep = np.fromiter((s in cset for s in t), dtype=bool, count=len(t))
         t = t[keep]
         n = np.asarray(agg.column("token_count"), dtype=np.int64)[keep]
-        buckets = np.fromiter(
-            (_stable_hash64(s) % _MG_BUCKETS for s in t), dtype=np.int64, count=len(t)
-        )
-        return pa.table({"token": t, "n": n, "bucket": buckets}, schema=exact_schema)
+        return pa.table({"token": t, "n": n}, schema=exact_schema)
 
     def exact_merge(group: pd.DataFrame) -> pd.DataFrame:
         g = group.groupby("token", as_index=False, sort=False)["n"].sum()
@@ -159,10 +145,8 @@ def misra_gries_heavy_hitters(ds, text_col: str = "text", m: int = 4096,
         g["n"] = g.n.astype(np.int64)
         return g[["token", "n"]]
 
-    return (
-        ds.map_batches(exact_partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(exact_merge, batch_format="pandas")
+    return by_key(
+        ds.map_batches(exact_partial, batch_format="pyarrow"), "token", exact_merge
     )
 
 
@@ -212,7 +196,7 @@ def hll_estimate(regs: np.ndarray) -> float:
 
 def hll_distinct_tokens_per_key(ds, key_col: str = "lang",
                                 text_col: str = "text", p: int = 12):
-    """Per-key distinct token count: EXACT (bucketed distinct, the
+    """Per-key distinct token count: EXACT (token-keyed distinct, the
     hash-checked column) alongside a merged HyperLogLog estimate whose
     in-tolerance flag is the pinned invariant.  Returns a small
     pyarrow Table (one row per key)."""
@@ -266,11 +250,9 @@ def hll_distinct_tokens_per_key(ds, key_col: str = "lang",
     )
 
     # exact distinct per key: distinct (key, token) partials, token-
-    # hash-bucketed merge (token -> one bucket so dupes collide), tiny
+    # keyed merge (token -> one bucket so dupes collide), tiny
     # per-bucket per-key counts, final sum over the bounded key
-    ex_schema = pa.schema(
-        [(key_col, pa.string()), ("token", pa.string()), ("bucket", pa.int64())]
-    )
+    ex_schema = pa.schema([(key_col, pa.string()), ("token", pa.string())])
 
     def ex_partial(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern(batch.column(text_col), " ")
@@ -282,18 +264,8 @@ def hll_distinct_tokens_per_key(ds, key_col: str = "lang",
             .group_by([key_col, "token"])
             .aggregate([])
         )
-        buckets = np.fromiter(
-            (_stable_hash64(s) % _MG_BUCKETS for s in t.column("token").to_pylist()),
-            dtype=np.int64,
-            count=t.num_rows,
-        )
         return pa.table(
-            {
-                key_col: t.column(key_col),
-                "token": t.column("token"),
-                "bucket": buckets,
-            },
-            schema=ex_schema,
+            {key_col: t.column(key_col), "token": t.column("token")}, schema=ex_schema
         )
 
     def ex_merge(group: pd.DataFrame) -> pd.DataFrame:
@@ -303,12 +275,9 @@ def hll_distinct_tokens_per_key(ds, key_col: str = "lang",
             {key_col: agg.index.to_numpy(dtype=object), "n_part": agg.to_numpy(np.int64)}
         )
 
-    parts = (
-        ds.map_batches(ex_partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(ex_merge, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = by_key(
+        ds.map_batches(ex_partial, batch_format="pyarrow"), "token", ex_merge
+    ).to_pandas()
     out_schema = pa.schema(
         [(key_col, pa.string()), ("n_distinct", pa.int64()), ("hll_ok", pa.bool_())]
     )

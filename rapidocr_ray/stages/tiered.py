@@ -1,4 +1,30 @@
-"""One tiered plan for "sum a keyed int64 table over each doc's keys".
+"""One keyed shuffle and one tiered plan for keyed sums.
+
+``by_key(inputs, key, fn)`` is the engine's one distributed keyed
+operator (a co-hash ``groupby(key).map_groups(fn)``): every bucketed
+join, merge and dedup in the registry and the stages goes through it.
+The helper adds a bucket column to each input inside a map that fuses
+into that input's last map, unions the inputs, groups on the bucket
+and runs ``fn`` on each group without the bucket column.  It owns:
+
+- **the hash**: integer and timestamp keys use the multiplicative
+  ``(k * 2654435761 mod 2**32) mod N_BUCKETS`` with a uint64 wrap, so
+  negative ids and ids above 2**32 bucket like any other; string keys
+  use pandas ``hash_array`` (a fixed-key siphash, vectorized and
+  stable across processes).  Inputs keyed on the same column type
+  co-locate, so a tagged union is a join.
+- **the bucket count**: the module constant ``N_BUCKETS``, read at call
+  time (tests monkeypatch it, as they do ``BROADCAST_LIMIT``).
+
+Contract: ``fn``'s output on a group equals the union of its outputs
+on each key's rows, so no result depends on which keys share a bucket
+or on ``N_BUCKETS``.  ``fn`` groups or merges by the key itself.  A
+per-bucket top-k prune (``top_terms_per_lang``, ``bpe_merge_pairs``)
+keeps a superset of what its final reduce needs under any split of the
+keys, so its result does not depend on the buckets either.  A plan
+whose result needs particular keys together (one group for a rollup,
+hour ranges, hash-order cells, packing shards) groups on its own
+column and does not use ``by_key``.
 
 The curation scorers (unigram and bigram log-probs, Naive Bayes, DSIR)
 all score a document as an integer sum of per-key values over the
@@ -14,11 +40,10 @@ answer by construction:
   plus one offset-cumsum segment sum.
 - **bucketed** (over the limit): the table never reaches the driver.
   Key rows (values computed per batch with the same formula) and the
-  exploded key instances meet in crc32(key) buckets, tagged by an
-  explicit row-kind column; per-doc partial sums then merge in
-  ``doc_bucket`` buckets together with an all-docs side table, which
-  carries pass-through columns and gives zero-key docs n = 0 and
-  all-zero sums.
+  exploded key instances meet by key in ``by_key``, tagged by an
+  explicit row-kind column; per-doc partial sums then merge by
+  ``doc_id`` together with an all-docs side table, which carries
+  pass-through columns and gives zero-key docs n = 0 and all-zero sums.
 
 A key missing from the table raises on both tiers.
 
@@ -42,51 +67,82 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from rapidocr_ray.functions.hashing import crc_bucket
-from rapidocr_ray.util import broadcast_get, stack_list_column
+from rapidocr_ray.util import broadcast_get, ensure_worker_importable, stack_list_column
 
 # count-table rows above which the bucketed tier runs; read at call
 # time, so tests force a tier by monkeypatching this constant
 BROADCAST_LIMIT = 2_000_000
+# shuffle buckets of ``by_key``; read at call time, like BROADCAST_LIMIT
 N_BUCKETS = 64
 
 # row kinds of the two tagged unions of the bucketed tier
-KEY_ROW, INSTANCE_ROW = 0, 1  # key-bucketed attach
-PARTIAL_ROW, DOC_ROW = 0, 1  # doc-bucketed merge
+KEY_ROW, INSTANCE_ROW = 0, 1  # key-keyed attach
+PARTIAL_ROW, DOC_ROW = 0, 1  # doc-keyed merge
+
+_BUCKET = "__bucket"
+_PHI = np.uint64(2654435761)
 
 
-def doc_bucket(ids, n_buckets: int = N_BUCKETS) -> pa.Array:
-    """Multiplicative doc_id -> bucket hash of the doc-keyed merges
-    (uint64 wrap, so negative ids bucket like any other)."""
-    ids = np.asarray(ids, dtype=np.int64).astype(np.uint64)
-    return pa.array(
-        (ids * np.uint64(2654435761) % np.uint64(2**32) % np.uint64(n_buckets)).astype(
-            np.int64
-        ),
-        type=pa.int64(),
-    )
+def key_bucket(col, n_buckets: int) -> np.ndarray:
+    """Bucket of each key of an Arrow column (int64 numpy): the one
+    shuffle-key hash of ``by_key``.  Nulls bucket as 0 / ""."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+        keys = col.fill_null("").to_numpy(zero_copy_only=False)
+        h = pd.util.hash_array(keys.astype(object))
+    else:
+        keys = col.fill_null(0).to_numpy(zero_copy_only=False)
+        if keys.dtype.kind in "mM":
+            keys = keys.view(np.int64)
+        h = keys.astype(np.int64).astype(np.uint64) * _PHI % np.uint64(2**32)
+    return (h % np.uint64(n_buckets)).astype(np.int64)
+
+
+def by_key(inputs, key: str, fn, batch_format: str = "pandas"):
+    """Run ``fn`` on the rows of ``inputs`` (one Dataset or a list of
+    them) grouped by hash of their ``key`` column: one shuffle, every
+    key's rows from every input in one group.  ``fn`` sees each group
+    (in ``batch_format``) without the bucket column; see the module
+    docstring for the contract."""
+    ensure_worker_importable()
+    n_buckets = N_BUCKETS
+
+    def keyed(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            _BUCKET, pa.array(key_bucket(batch[key], n_buckets), type=pa.int64())
+        )
+
+    if not isinstance(inputs, (list, tuple)):
+        inputs = [inputs]
+    sides = [ds.map_batches(keyed, batch_format="pyarrow") for ds in inputs]
+    both = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
+
+    def run(group):
+        if batch_format == "pandas":
+            del group[_BUCKET]  # in place: drop() would copy every column
+            return fn(group)
+        return fn(group.drop_columns([_BUCKET]))
+
+    run.__name__ = getattr(fn, "__name__", run.__name__)  # operator name in stats
+    return both.groupby(_BUCKET).map_groups(run, batch_format=batch_format)
 
 
 def count_table(docs, partial, merge=None):
     """Materialized count table, one row per distinct key.
     ``partial(batch)`` returns a pa.Table with a string ``key`` column;
-    its rows are crc32(key)-bucketed and merged per bucket by ``merge``
-    (default: sum every other column by key) in one shuffle."""
-
-    def bucketed(batch: pa.Table) -> pa.Table:
-        t = partial(batch)
-        return t.append_column("bucket", pa.array(crc_bucket(t["key"], N_BUCKETS)))
-
-    return (
-        docs.map_batches(bucketed, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge or _sum_by_key, batch_format="pyarrow")
-        .materialize()
-    )
+    its rows merge by key (``by_key``) with ``merge`` (default: sum
+    every other column by key) in one shuffle."""
+    return by_key(
+        docs.map_batches(partial, batch_format="pyarrow"),
+        "key",
+        merge or _sum_by_key,
+        batch_format="pyarrow",
+    ).materialize()
 
 
 def _sum_by_key(group: pa.Table) -> pa.Table:
-    cols = [c for c in group.column_names if c not in ("key", "bucket")]
+    cols = [c for c in group.column_names if c != "key"]
     agg = group.group_by("key").aggregate([(c, "sum") for c in cols])
     return pa.table({"key": agg["key"], **{c: agg[f"{c}_sum"] for c in cols}})
 
@@ -176,7 +232,6 @@ def _bucketed(docs, keys_of, counts, lp, finish, totals, carry):
         n = rows.num_rows
         return pa.table(
             {
-                "bucket": pa.array(crc_bucket(rows["key"], N_BUCKETS)),
                 "kind": pa.array(np.full(n, KEY_ROW), type=pa.int8()),
                 "key": rows["key"],
                 "doc_id": pa.nulls(n, id_t),
@@ -190,7 +245,6 @@ def _bucketed(docs, keys_of, counts, lp, finish, totals, carry):
         n = len(keys)
         return pa.table(
             {
-                "bucket": pa.array(crc_bucket(keys, N_BUCKETS)),
                 "kind": pa.array(np.full(n, INSTANCE_ROW), type=pa.int8()),
                 "key": keys,
                 "doc_id": pa.array(
@@ -211,7 +265,6 @@ def _bucketed(docs, keys_of, counts, lp, finish, totals, carry):
         m = len(ids)
         return pa.table(
             {
-                "dbucket": doc_bucket(ids),
                 "kind": pa.array(np.full(m, PARTIAL_ROW), type=pa.int8()),
                 "doc_id": pa.array(ids, type=id_t),
                 "n": pa.array(n, type=pa.int64()),
@@ -224,7 +277,6 @@ def _bucketed(docs, keys_of, counts, lp, finish, totals, carry):
         m = batch.num_rows
         return pa.table(
             {
-                "dbucket": doc_bucket(batch["doc_id"]),
                 "kind": pa.array(np.full(m, DOC_ROW), type=pa.int8()),
                 "doc_id": batch["doc_id"],
                 "n": pa.array(np.zeros(m, dtype=np.int64)),
@@ -249,15 +301,16 @@ def _bucketed(docs, keys_of, counts, lp, finish, totals, carry):
         full[pos >= 0] = agg[pos[pos >= 0]]
         return finish(doc, full[:, 0], full[:, 1:], tot)
 
-    partials = (
-        counts.map_batches(key_rows, batch_format="pyarrow")
-        .union(docs.map_batches(instance_rows, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(attach, batch_format="pyarrow")
+    partials = by_key(
+        [
+            counts.map_batches(key_rows, batch_format="pyarrow"),
+            docs.map_batches(instance_rows, batch_format="pyarrow"),
+        ],
+        "key",
+        attach,
+        batch_format="pyarrow",
     )
     side = docs.select_columns(["doc_id", *carry]).map_batches(
         doc_rows, batch_format="pyarrow"
     )
-    return partials.union(side).groupby("dbucket").map_groups(
-        merge, batch_format="pyarrow"
-    )
+    return by_key([partials, side], "doc_id", merge, batch_format="pyarrow")

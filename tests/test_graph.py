@@ -10,6 +10,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from rapidocr_ray.stages import tiered
 from rapidocr_ray.stages.graph import (
     DAMP_DEN,
     DAMP_NUM,
@@ -147,19 +148,20 @@ def test_derive_edges_total_weight(ray_session):
     assert edges.groupby(["src", "dst"]).size().max() == 1  # fully merged
 
 
-def test_derive_edges_block_split_invariant(ray_session):
+def test_derive_edges_block_split_invariant(ray_session, monkeypatch):
     ds = ray_session.data.read_parquet(
         f"{SF}/documents.parquet", columns=["doc_id", "source"]
     )
     n_docs = ds.count()
     a = (
-        derive_domain_edges(ds, n_docs, n_buckets=64)
+        derive_domain_edges(ds, n_docs)
         .to_pandas()
         .sort_values(["src", "dst"])
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(tiered, "N_BUCKETS", 7)
     b = (
-        derive_domain_edges(ds.repartition(11), n_docs, n_buckets=7)
+        derive_domain_edges(ds.repartition(11), n_docs)
         .to_pandas()
         .sort_values(["src", "dst"])
         .reset_index(drop=True)

@@ -76,6 +76,13 @@ def test_no_module_caches_actor_pools_or_worker_ray_get():
             and c.func.attr in ("map_batches", "map_groups")
             and c.args
             and isinstance(c.args[0], ast.Name)
+        } | {  # tiered.by_key(inputs, key, fn) runs fn in map_groups
+            c.args[2].id
+            for c in ast.walk(tree)
+            if isinstance(c, ast.Call)
+            and getattr(c.func, "id", getattr(c.func, "attr", None)) == "by_key"
+            and len(c.args) > 2
+            and isinstance(c.args[2], ast.Name)
         }
         for fn in ast.walk(tree):
             if not (isinstance(fn, ast.FunctionDef) and fn.name in mapped):
@@ -104,3 +111,33 @@ def test_every_parquet_read_goes_through_the_planned_reader():
         if "read_parquet(" in line
     ]
     assert not bad, "read_parquet outside the planned reader:\n" + "\n".join(bad)
+
+
+def test_bucketed_groupbys_go_through_by_key():
+    """``tiered.by_key`` owns the shuffle-key hash and the bucket count:
+    outside ``stages/tiered.py`` no ``.groupby(`` names a column ending
+    in ``bucket``."""
+    bad = [
+        f"{p.relative_to(PKG.parent)}:{i}: {line.strip()}"
+        for p in sorted(PKG.rglob("*.py"))
+        if p != PKG / "stages" / "tiered.py"
+        for i, line in enumerate(p.read_text().splitlines(), 1)
+        if re.search(r"""\.groupby\(\s*\[?\s*["'][^"']*bucket["']""", line)
+    ]
+    assert not bad, "bucket groupbys outside tiered.by_key:\n" + "\n".join(bad)
+
+
+def test_by_key_bucketing_map_fuses(ray_session):
+    """The bucket column is added in a map that fuses into the input's
+    last map: ``user_distinct_types`` runs the same three operators as
+    when its partial map computed the bucket itself (read+partial map,
+    sort, group map)."""
+    from rapidocr_ray.pipelines.queries import QUERIES
+
+    ds = QUERIES["user_distinct_types"]("/root/testdata/sf0.001").materialize()
+    operators = [
+        line for line in ds.stats().splitlines() if line.startswith("Operator ")
+    ]
+    assert len(operators) == 3, operators
+    assert "ReadParquet->MapBatches(partial)->MapBatches(keyed)" in operators[0]
+    assert "Sort" in operators[1]
