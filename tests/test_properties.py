@@ -185,12 +185,16 @@ def test_fill_poly_area_property(seed):
     rng = np.random.default_rng(seed)
     pts = rng.random((8, 2)) * 40 + 5
     quad, _ = min_area_rect(pts)
+    # A tilted rect around the points can reach past the point box; move it
+    # onto the canvas so the mask is not clipped.
+    quad = quad - quad.min(axis=0) + 5
+    size = int(np.ceil(quad.max())) + 5
     x, y = quad[:, 0], quad[:, 1]
     area = 0.5 * abs(
         sum(x[i] * y[(i + 1) % 4] - x[(i + 1) % 4] * y[i] for i in range(4))
     )
     per = sum(np.linalg.norm(quad[i] - quad[(i + 1) % 4]) for i in range(4))
-    mask = fill_poly_mask((60, 60), quad)
+    mask = fill_poly_mask((size, size), quad)
     assert abs(int(mask.sum()) - area) <= per + 8
 
 
