@@ -81,6 +81,12 @@ def _winners_file_partial(files: list[str] | str):
     return df.groupby("url", sort=False)["ts"].max()
 
 
+# distinct urls the winners broadcast may hold; past it dedup_by_url
+# falls back to the strict bucketed plan.  Read at call time (tests
+# monkeypatch it, as they do ``tiered.BROADCAST_LIMIT``).
+WINNERS_LIMIT = 20_000_000
+
+
 def _winners_merge(broadcast_limit: int, *partials) -> dict | None:
     """Merge per-file winner partials into the broadcast dict.  Runs AS
     A RAY TASK taking the partial ObjectRefs so the whole winners pass
@@ -101,7 +107,6 @@ def _winners_merge(broadcast_limit: int, *partials) -> dict | None:
 def dedup_by_url(
     ds: "ray.data.Dataset",
     strict: bool = False,
-    broadcast_limit: int = 20_000_000,
     winners_files: list[str] | None = None,
 ) -> "ray.data.Dataset":
     """North-rule exact dedup: latest warc_ts wins per url (groupby-url
@@ -118,7 +123,7 @@ def dedup_by_url(
     url-keyed ``tiered.by_key`` plan (payload shuffle, exact under ties).
 
     At cluster scale the broadcast is valid while distinct urls fit one
-    node's heap (~20M urls / few GB); beyond ``broadcast_limit``
+    node's heap (~20M urls / few GB); beyond ``WINNERS_LIMIT``
     distinct urls the plan FALLS BACK to the strict bucketed-groupby
     plan automatically (identical output when (url, warc_ts) is unique
     — covered by tests), so the default is scale-safe rather than an
@@ -137,7 +142,7 @@ def dedup_by_url(
     # materializes the winner map on the driver, so an all-to-all sort
     # to pre-group it only adds a ~2s barrier; instead stream the
     # column-pruned (url, warc_ts) batches and max-accumulate in the
-    # driver dict directly.  Bounded by the same broadcast_limit guard
+    # driver dict directly.  Bounded by the same WINNERS_LIMIT guard
     # (beyond it, shard the input by url or use strict=True — at that
     # scale the strict bucketed-groupby plan is the right one anyway).
     import numpy as np
@@ -177,14 +182,14 @@ def dedup_by_url(
         partial_refs = [reader.remote(c) for c in chunks]
         ref = (
             _ray.remote(num_cpus=0)(_winners_merge)
-            .remote(broadcast_limit, *partial_refs)
+            .remote(WINNERS_LIMIT, *partial_refs)
         )
         # the read's planned row count: ``ds`` reads ``winners_files``
         # (read_pages), whose read tasks carry their footer row counts,
         # so count() answers from that metadata without running
         # anything or opening a footer again.  The column reads above
         # are NOT blocked on.
-        if ds.count() > broadcast_limit:
+        if ds.count() > WINNERS_LIMIT:
             if _ray.get(ref) is None:  # over-limit sentinel
                 return dedup_by_url(ds, strict=True)
     else:
@@ -214,10 +219,10 @@ def dedup_by_url(
             )
             partials.append(df.groupby("u", sort=False)["t"].max())
             n_pending += len(partials[-1])
-            if n_pending > max(65536, broadcast_limit // 8):
+            if n_pending > max(65536, WINNERS_LIMIT // 8):
                 combined = _pd.concat(partials).groupby(level=0).max()
                 partials, n_pending = [combined], len(combined)
-                if len(combined) > broadcast_limit:
+                if len(combined) > WINNERS_LIMIT:
                     over_limit = True
                     break
         if not over_limit:
@@ -226,7 +231,7 @@ def dedup_by_url(
                 if partials
                 else _pd.Series(dtype=np.int64)
             )
-            over_limit = len(agg) > broadcast_limit
+            over_limit = len(agg) > WINNERS_LIMIT
         if over_limit:
             # auto-fallback: distinct urls no longer fit a broadcast —
             # route to the strict bucketed plan on the (already

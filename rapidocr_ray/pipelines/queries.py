@@ -277,17 +277,22 @@ FROM orders ORDER BY total_cents DESC, o_orderkey LIMIT 10
 """
 
 
-def q_revenue_by_mktsegment(sf_dir: str, broadcast_limit: int = 20_000_000):
+# customers q_revenue_by_mktsegment broadcasts before it falls back to
+# the bucketed join; read at call time (tests monkeypatch it)
+CUSTOMER_BROADCAST_LIMIT = 20_000_000
+
+
+def q_revenue_by_mktsegment(sf_dir: str):
     """Broadcast join (J3 pattern): small customer side ray.put once,
     looked up vectorized per batch — no shuffle join.  Guarded by
-    ``broadcast_limit`` (the dedup_by_url discipline): past the limit
-    the customer side no longer fits one node's heap and the query
-    falls back to the bucketed shuffle join."""
+    ``CUSTOMER_BROADCAST_LIMIT`` (the dedup_by_url discipline): past
+    the limit the customer side no longer fits one node's heap and the
+    query falls back to the bucketed shuffle join."""
     import ray
     from ray.data.aggregate import Count, Sum
 
     n_cust = pq.ParquetFile(f"{sf_dir}/customer.parquet").metadata.num_rows
-    if n_cust > broadcast_limit:
+    if n_cust > CUSTOMER_BROADCAST_LIMIT:
         return _revenue_by_mktsegment_bucketed(sf_dir)
 
     cust = pq.read_table(

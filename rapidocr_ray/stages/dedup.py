@@ -180,7 +180,7 @@ def minhash_lsh_pairs(
     instead of n_bands full signature copies.  Candidate pairing is a
     vectorized merge per bounded bucket.
 
-    Scoring is adaptive, mirroring dedup_by_url's broadcast_limit
+    Scoring is adaptive, mirroring dedup_by_url's WINNERS_LIMIT
     discipline: while the signature table fits ``sig_broadcast_bytes``
     (~1 GB default — n_perm*8 bytes/doc ≈ 1M docs/GB, i.e. a per-shard
     corpus), its blocks are read once per worker process from the
@@ -887,7 +887,12 @@ def _dup_groups_local(pairs_ds):
     )
 
 
-def dup_groups(pairs_ds, max_iters: int = 30, local_limit: int = 1_000_000):
+# dup_groups runs single-process union-find up to this many pairs; read
+# at call time (tests monkeypatch it)
+DUP_GROUPS_LOCAL_LIMIT = 1_000_000
+
+
+def dup_groups(pairs_ds, max_iters: int = 30):
     """(doc_a, doc_b) pair Dataset -> (doc_id, group_id) where group_id
     is the MIN doc id reachable through the pair graph (connected
     components by min-label propagation WITH label shortcutting —
@@ -895,9 +900,10 @@ def dup_groups(pairs_ds, max_iters: int = 30, local_limit: int = 1_000_000):
     O(diameter)).
 
     Tiered like pagerank: a pair set that fits the driver comfortably
-    (<= local_limit edges; the count is free on the materialized input)
-    runs single-process union-find — the distributed loop costs ~3
-    shuffles per round, pure scheduling overhead at toy scale.
+    (<= DUP_GROUPS_LOCAL_LIMIT edges; the count is free on the
+    materialized input) runs single-process union-find — the
+    distributed loop costs ~3 shuffles per round, pure scheduling
+    overhead at toy scale.
     Past the limit, fully distributed: every round is (a) a join of
     edge endpoints against the label table, (b) a join of labels
     against themselves (label-of-label shortcut), (c) a per-node min.
@@ -909,7 +915,7 @@ def dup_groups(pairs_ds, max_iters: int = 30, local_limit: int = 1_000_000):
     ensure_worker_importable()
 
     pairs_ds = pairs_ds.materialize()
-    if pairs_ds.count() <= local_limit:
+    if pairs_ds.count() <= DUP_GROUPS_LOCAL_LIMIT:
         return _dup_groups_local(pairs_ds)
 
     def edge_requests(batch: pa.Table) -> pa.Table:

@@ -48,6 +48,11 @@ TOTAL_NANO = 10**12
 DAMP_NUM = 85
 DAMP_DEN = 100
 EDGE_MULT = 48271  # MINSTD multiplier: cheap full-period doc_id scrambler
+# pagerank_int tier limits, read at call time (tests monkeypatch them):
+# collapsed edges run driver-side up to EDGE_LOCAL_LIMIT rows, the rank
+# vector is broadcast up to BROADCAST_LIMIT nodes
+EDGE_LOCAL_LIMIT = 2_000_000
+BROADCAST_LIMIT = 2_000_000
 
 
 def derive_domain_edges(ds, n_docs: int, out_links: int = 3):
@@ -134,7 +139,7 @@ def derive_domain_edges(ds, n_docs: int, out_links: int = 3):
 
 
 def _pagerank_local(edges_raw, n_iter: int, total: int, damp_num: int, damp_den: int):
-    """Edge list under edge_local_limit: run the loop driver-side in
+    """Edge list under EDGE_LOCAL_LIMIT: run the loop driver-side in
     vectorized numpy (out-weights and the node set come free from the
     local frame — no attach/node shuffles).  Node labels factorize to
     positions once; each iteration is two gathers, one integer
@@ -177,7 +182,7 @@ def _pagerank_broadcast(
     edges_w, nodes_ds, n_nodes: int, n_iter: int, tele: int, r0: int,
     damp_num: int, damp_den: int,
 ):
-    """Broadcast-rank path (node table under broadcast_limit): the rank
+    """Broadcast-rank path (node table under BROADCAST_LIMIT): the rank
     vector is ray.put once per iteration; edge blocks stream from the
     object store (materialized once, never recomputed); each task emits
     partial in-sums pre-aggregated by dst (bounded by the batch's
@@ -238,8 +243,6 @@ def pagerank_int(
     total: int = TOTAL_NANO,
     damp_num: int = DAMP_NUM,
     damp_den: int = DAMP_DEN,
-    broadcast_limit: int = 2_000_000,
-    edge_local_limit: int = 2_000_000,
 ):
     """Integer PageRank over a weighted edge Dataset (src, dst, w) ->
     Dataset (node:string, rank_nano:int64).  See module docstring for
@@ -247,10 +250,10 @@ def pagerank_int(
 
     Three execution tiers, identical integer semantics (tests pin them
     equal): when the COLLAPSED edge list fits under
-    ``edge_local_limit`` rows the whole loop runs driver-side in
+    ``EDGE_LOCAL_LIMIT`` rows the whole loop runs driver-side in
     vectorized numpy (the graph is the small side — paying 5 rounds of
     cluster scheduling to move 60 rows is wrong at any scale); when
-    only the NODE table fits under ``broadcast_limit`` the rank vector
+    only the NODE table fits under ``BROADCAST_LIMIT`` the rank vector
     lives on the driver — each iteration is one streaming
     ``map_batches`` pass over the materialized edges (ranks ``ray.put``
     once per round, per-batch contributions pre-aggregated by dst
@@ -282,7 +285,7 @@ def pagerank_int(
         drop_nonpositive, batch_format="pyarrow"
     ).materialize()
     n_edges = edges_raw.count()
-    if n_edges <= edge_local_limit:
+    if n_edges <= EDGE_LOCAL_LIMIT:
         return _pagerank_local(edges_raw, n_iter, total, damp_num, damp_den)
     edges_ds = edges_raw
 
@@ -327,7 +330,7 @@ def pagerank_int(
             {"node": pa.array(group.node.drop_duplicates(), type=pa.string())}
         )
 
-    # n_edges > edge_local_limit >= 0 here, so the graph is non-empty
+    # n_edges > EDGE_LOCAL_LIMIT >= 0 here, so the graph is non-empty
     # and n_nodes >= 1 (the empty case returned from tier 0 above)
     nodes = by_key(
         edges_w.map_batches(node_partial, batch_format="pyarrow"), "node", node_unique
@@ -337,7 +340,7 @@ def pagerank_int(
     tele = (total * (damp_den - damp_num)) // (damp_den * n_nodes)
     r0 = total // n_nodes
 
-    if n_nodes <= broadcast_limit:
+    if n_nodes <= BROADCAST_LIMIT:
         return _pagerank_broadcast(
             edges_w, nodes, n_nodes, n_iter, tele, r0, damp_num, damp_den
         )

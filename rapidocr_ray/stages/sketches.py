@@ -95,10 +95,16 @@ def misra_gries_heavy_hitters(ds, text_col: str = "text", m: int = 4096,
             schema=part_schema,
         )
 
+    def sentinel_rows(batch: pa.Table, sentinel: bool) -> pa.Table:
+        mask = batch.column("sentinel")
+        return batch.filter(mask if sentinel else pc.invert(mask))
+
     # the summary stream is O(n_tasks * m) — the small intermediate —
     # and is consumed twice (scalars + merge), so materialize it once
     part = ds.map_batches(partial, batch_format="pyarrow").materialize()
-    sent = part.filter(lambda r: r["sentinel"]).to_pandas()
+    sent = part.map_batches(
+        sentinel_rows, fn_kwargs={"sentinel": True}, batch_format="pyarrow"
+    ).to_pandas()
     # empty-corpus guard: a zero-block dataset loses its schema through
     # map_batches, so the sentinel frame may arrive column-less
     n_total = int(sent.token.astype(np.int64).sum()) if len(sent) else 0
@@ -122,7 +128,10 @@ def misra_gries_heavy_hitters(ds, text_col: str = "text", m: int = 4096,
         g = g[g.w >= threshold - d_global]
         return g[["token"]]
 
-    cand = by_key(part.filter(lambda r: not r["sentinel"]), "token", merge).to_pandas()
+    summaries = part.map_batches(
+        sentinel_rows, fn_kwargs={"sentinel": False}, batch_format="pyarrow"
+    )
+    cand = by_key(summaries, "token", merge).to_pandas()
     cand_ref = ray.put(frozenset(cand.token) if len(cand) else frozenset())
 
     exact_schema = pa.schema([("token", pa.string()), ("n", pa.int64())])

@@ -14,10 +14,11 @@ partitions, and processes only the remainder — a failed run at shard
 k restarts at shard k, never recomputing earlier shards.
 
 Scale shape: the shard's output NEVER materializes on the driver.  The
-pipeline streams straight into ``Dataset.write_parquet`` (worker-side
-block writes into the ``.tmp`` dir), then manifest metrics and the
-content hash are computed by one narrow-column remote task per written
-file and merged on the driver as tiny dicts.  The content hash is a
+pipeline streams into ``ManifestDatasink``, the write stage of the one
+fused extraction task: each task writes its blocks as one parquet file
+into the ``.tmp`` dir and returns that file's metrics and content-hash
+partial, and the driver merges the tiny partial dicts.  One Ray
+execution per partition; nothing is read back.  The content hash is a
 COMMUTATIVE digest (sum of per-row sha256(url || text) mod 2^256), so
 per-file partials merge associatively regardless of block order — the
 table-at-once ``write_partition`` path and the streamed path produce
@@ -35,22 +36,14 @@ import time
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+from ray.data.block import BlockAccessor
+from ray.data.datasource import Datasink
+
+from rapidocr_ray.util import ensure_worker_importable
 
 MANIFEST_NAME = "manifest.json"
 
 _HASH_MOD = 1 << 256
-
-# narrow projection sufficient for metrics + content hash — the spans /
-# payload-adjacent columns are never re-read
-_METRIC_COLUMNS = [
-    "url",
-    "extracted_text",
-    "route",
-    "n_spans",
-    "det_elapse",
-    "cls_elapse",
-    "rec_elapse",
-]
 
 
 def partition_dir(out_dir: str, partition_id: int) -> str:
@@ -134,13 +127,6 @@ def _merge_partials(partials: list[dict]) -> dict:
     }
 
 
-def _file_metrics(path: str) -> dict:
-    """Remote-task body: metrics partial for one written parquet file,
-    reading only the narrow metric columns."""
-    t = pq.read_table(path, columns=_METRIC_COLUMNS)
-    return _partial_metrics(t)
-
-
 def content_hash(table: pa.Table, key: str = "url", value: str = "extracted_text") -> str:
     """Order-insensitive digest of (key, value) pairs — the lineage
     field a verifier uses to compare reruns without re-reading rows."""
@@ -182,34 +168,32 @@ def write_partition(
     return manifest
 
 
-def _sink_reported_rows(result) -> int | None:
-    """Row count the Ray datasink itself reported having written —
-    independent of which files are VISIBLE to the driver.  On a
-    multi-node cluster with a node-local out_dir, driver-node workers'
-    blocks are visible while other nodes' blocks are silently lost;
-    comparing sink-reported rows against the merged per-file partials
-    catches that partial-visibility case, not only the all-lost one
-    (ADVICE r3).  Best-effort (reads the executed write sub-dataset's
-    cached result blocks — no recompute); returns None if the internal
-    layout changes."""
-    try:
-        import ray as _ray
+class ManifestDatasink(Datasink):
+    """The write stage of the fused extraction task.
 
-        write_ds = result._write_ds
-        raw = _ray.get(write_ds._plan.execute().block_refs)
-        return int(sum(r["num_rows"].sum() for r in raw))
-    except Exception as exc:  # pragma: no cover — private-API drift
-        # loud, not silent: a Ray upgrade that changes these internals
-        # disarms the multi-node partial-visibility guard — make that
-        # visible in run output (ADVICE r4).
-        import logging
+    ``write`` runs in each task on that task's output blocks: it writes
+    them as one parquet file in ``tmp``, named by the task index (a
+    retried task overwrites its own file), and returns ``(file name,
+    _partial_metrics)``, or ``None`` when the task kept no rows.
+    ``on_write_complete`` runs on the driver once every task is done and
+    keeps those returns in ``write_returns``."""
 
-        logging.getLogger(__name__).warning(
-            "sink row-count cross-check disarmed (Ray private-API drift: %s); "
-            "multi-node partial-visibility losses will NOT be detected",
-            exc,
-        )
-        return None
+    def __init__(self, tmp: str):
+        self.tmp = tmp
+        self.write_returns: list = []
+
+    def write(self, blocks, ctx) -> tuple[str, dict] | None:
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        tables = [t for t in tables if t.num_rows]
+        if not tables:
+            return None
+        table = pa.concat_tables(tables, promote_options="default")
+        name = f"task-{ctx.task_idx:05d}.parquet"
+        pq.write_table(table, os.path.join(self.tmp, name))
+        return name, _partial_metrics(table)
+
+    def on_write_complete(self, write_result) -> None:
+        self.write_returns = list(write_result.write_returns)
 
 
 def write_partition_streamed(
@@ -221,14 +205,13 @@ def write_partition_streamed(
 ) -> dict:
     """Atomic streamed write of a Dataset partition.
 
-    The Dataset streams worker-side into ``<part>.tmp`` via
-    ``write_parquet`` (one file per output block — resumable output,
-    never one giant file), then one remote task per written file
-    computes the metrics/hash partial over the narrow columns and the
-    driver merges the tiny partial dicts.  Driver memory is O(#files),
+    ``result.write_datasink(ManifestDatasink(tmp))`` runs the pipeline
+    and its write as one Ray execution: every extraction task writes
+    its own parquet file into ``<part>.tmp`` (resumable output, never
+    one giant file) and returns that file's metrics/hash partial.  The
+    driver checks that every returned file is visible, merges the
+    partials and renames the directory.  Driver memory is O(#files),
     independent of partition row count."""
-    import ray
-
     from rapidocr_ray.stages.ray_stages import FINAL_SCHEMA
 
     final = partition_dir(out_dir, partition_id)
@@ -236,51 +219,36 @@ def write_partition_streamed(
     if os.path.isdir(tmp):
         shutil.rmtree(tmp)
     os.makedirs(tmp, exist_ok=True)
-    result.write_parquet(tmp)
-    expected_rows = _sink_reported_rows(result)
-    files = sorted(
-        os.path.join(tmp, name)
-        for name in os.listdir(tmp)
-        if name.endswith(".parquet")
-    )
-    if not files:
-        # Either the stream was genuinely empty, or the workers wrote
-        # to a filesystem the driver cannot see (write_parquet writes
-        # worker-side; a local out_dir on a multi-node cluster is NOT
-        # shared).  Distinguish loudly: a silent empty manifest over a
-        # non-empty partition would be masked data loss.  Re-executing
-        # the (deterministic) lineage for the count only happens on
-        # this edge path.
-        if result.count() > 0:
-            raise RuntimeError(
-                "write_partition_streamed: workers wrote parquet blocks "
-                f"but none are visible at {tmp!r} — out_dir must be on "
-                "a filesystem shared between driver and workers (NFS / "
-                "object store); a node-local path silently drops data"
-            )
-        # genuinely empty stream: keep the partition readable with an
-        # explicit empty file
-        empty = os.path.join(tmp, "data.parquet")
-        pq.write_table(FINAL_SCHEMA.empty_table(), empty)
-        files = [empty]
-    task = ray.remote(num_cpus=1)(_file_metrics)
-    partials = ray.get([task.remote(f) for f in files])
-    visible_rows = sum(p["row_count"] for p in partials)
-    if expected_rows is not None and visible_rows != expected_rows:
+    ensure_worker_importable()  # the sink's class ships by value with every task
+    sink = ManifestDatasink(tmp)
+    result.write_datasink(sink)
+    written = sorted((r for r in sink.write_returns if r is not None), key=lambda r: r[0])
+    missing = [
+        name for name, _ in written if not os.path.isfile(os.path.join(tmp, name))
+    ]
+    if missing:
+        # the tasks write worker-side: a node-local out_dir on a
+        # multi-node cluster keeps other nodes' files out of the
+        # driver's sight, which would be silent data loss
         raise RuntimeError(
-            f"write_partition_streamed: sink reported {expected_rows} rows "
-            f"written but only {visible_rows} are visible at {tmp!r} — "
-            "out_dir must be on a filesystem shared between driver and "
-            "workers (NFS / object store); a node-local path silently "
-            "drops non-driver nodes' blocks"
+            f"write_partition_streamed: workers wrote {missing} but they "
+            f"are not visible at {tmp!r} — out_dir must be on a filesystem "
+            "shared between driver and workers (NFS / object store); a "
+            "node-local path silently drops data"
         )
+    if not written:
+        # empty stream: keep the partition readable with an explicit
+        # empty file
+        empty = FINAL_SCHEMA.empty_table()
+        pq.write_table(empty, os.path.join(tmp, "data.parquet"))
+        written = [("data.parquet", _partial_metrics(empty))]
     manifest = {
         "partition_id": partition_id,
         "input_files": input_files,
         "input_span": list(input_span) if input_span else None,
         "written_at": time.time(),
-        "output_files": [os.path.basename(f) for f in files],
-        **_merge_partials(partials),
+        "output_files": [name for name, _ in written],
+        **_merge_partials([partial for _, partial in written]),
     }
     _write_manifest(tmp, final, manifest)
     return manifest
@@ -310,9 +278,7 @@ def run_resumable(
     pipelines share the session's CPUs without sizing rules: a task
     holds its CPU only for one block, and none can starve the others."""
     from rapidocr_ray.pipelines.extract import build_extract_pipeline, read_pages
-    from rapidocr_ray.util import harden_lazy_imports
 
-    harden_lazy_imports()
     os.makedirs(out_dir, exist_ok=True)
     groups = [
         input_files[i:i + files_per_partition]

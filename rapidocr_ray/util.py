@@ -1,19 +1,20 @@
-"""Worker-importability shim.
+"""Worker importability and per-process state; no patch of Ray.
 
-The graft driver owns the Ray session and may have initialised it from
-any working directory; Ray worker processes then cannot import
+The caller owns the Ray session and may have initialised it from any
+working directory; Ray worker processes then cannot import
 ``rapidocr_ray`` by module path unless the repo root happens to be on
 their ``sys.path``.  ``ensure_worker_importable()`` registers every
 loaded ``rapidocr_ray*`` module for cloudpickle by-value serialization,
 so tasks ship their own code (a few tens of KB per task) instead of
-relying on an import that may fail on the worker.  State that must
-outlive one task (model registries, broadcast reads) lives in
-``process_cache``; worker code reads every broadcast through
-``broadcast_get``.
+relying on an import that may fail on the worker.  It is idempotent and
+called at pipeline-build time (pipelines/extract.py, pipelines/queries.py,
+state/manifest.py).  State that must outlive one task (model
+registries, broadcast reads) lives in ``process_cache``; worker code
+reads every broadcast through ``broadcast_get``.  The rest are small
+helpers: ``session_cpus``, ``lru_cache_get``, ``stack_list_column``.
 
-Idempotent; called at pipeline-build time by pipelines/extract.py and
-pipelines/queries.py.  No ray.init here (session belongs to the
-caller).
+Nothing here calls ray.init (the session belongs to the caller) or
+assigns an attribute of a Ray module.
 """
 
 from __future__ import annotations
@@ -24,39 +25,6 @@ import types
 import numpy as np
 
 _registered: set[str] = set()
-
-
-def harden_lazy_imports() -> None:
-    """Make Ray Data's lazy fsspec-http probe thread-safe.
-
-    Only ``write_parquet`` still resolves paths through Ray: every read
-    goes through ``sources/parquet.py``, which opens the files itself.
-    That resolution calls ``_is_http_filesystem``, which does a lazy
-    ``from fsspec.implementations.http import HTTPFileSystem`` guarded
-    only by ``except ModuleNotFoundError``.  In this environment that
-    import always fails (no aiohttp) — fine single-threaded, but when
-    two driver threads build datasets concurrently (run_resumable
-    partition_parallelism) the failed import RACES: one thread sees the
-    sibling's partially-initialized module and gets a plain
-    ImportError, which escapes the guard and kills the pipeline.  Wrap
-    the probe so any import failure means "not an http filesystem".
-    Idempotent; driver-side only."""
-    try:
-        import ray.data.datasource.path_util as pu
-    except Exception:  # pragma: no cover
-        return
-    orig = getattr(pu, "_is_http_filesystem", None)
-    if orig is None or getattr(orig, "_rr_hardened", False):
-        return
-
-    def _safe_is_http_filesystem(fs):
-        try:
-            return orig(fs)
-        except ImportError:
-            return False
-
-    _safe_is_http_filesystem._rr_hardened = True
-    pu._is_http_filesystem = _safe_is_http_filesystem
 
 
 def session_cpus() -> int:

@@ -115,13 +115,14 @@ def test_dup_groups_local_tier_edges(ray_session):
     ]
 
 
-def test_dup_groups_100k_pairs_distributed(ray_session):
+def test_dup_groups_100k_pairs_distributed(ray_session, monkeypatch):
     """Connected components over 1e5 random pairs match a union-find
     oracle — exercises the bucketed label-join path (the label table is
     never collected to the driver) and pointer-jump convergence on a
     graph with a giant component."""
     import ray.data
 
+    from rapidocr_ray.stages import dedup
     from rapidocr_ray.stages.dedup import dup_groups
 
     rng = np.random.default_rng(0)
@@ -154,9 +155,11 @@ def test_dup_groups_100k_pairs_distributed(ray_session):
             truth[x] = m
 
     pairs = ray.data.from_arrow(pa.table({"doc_a": lo, "doc_b": hi}))
-    # local_limit=0 forces the distributed tier (the default would
-    # route a pair set this small to driver-side union-find)
-    out = dup_groups(pairs, local_limit=0).to_pandas()
+    # DUP_GROUPS_LOCAL_LIMIT = 0 forces the distributed tier (the
+    # default would route a pair set this small to driver-side union-find)
+    with monkeypatch.context() as m:
+        m.setattr(dedup, "DUP_GROUPS_LOCAL_LIMIT", 0)
+        out = dup_groups(pairs).to_pandas()
     got = dict(zip(out.doc_id, out.group_id))
     assert got == truth
     # the driver-local tier must produce the identical labelling

@@ -10,7 +10,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from rapidocr_ray.stages import tiered
+from rapidocr_ray.stages import graph, tiered
 from rapidocr_ray.stages.graph import (
     DAMP_DEN,
     DAMP_NUM,
@@ -61,12 +61,14 @@ HAND_EDGES = [
 
 
 @pytest.mark.parametrize("n_splits", [1, 5])
-@pytest.mark.parametrize("tier_kw", [{}, {"edge_local_limit": 0}])
-def test_pagerank_matches_reference(ray_session, n_splits, tier_kw):
-    """{} selects the driver-local tier; edge_local_limit=0 forces the
+@pytest.mark.parametrize("tier_kw", [{}, {"EDGE_LOCAL_LIMIT": 0}])
+def test_pagerank_matches_reference(ray_session, monkeypatch, n_splits, tier_kw):
+    """{} selects the driver-local tier; EDGE_LOCAL_LIMIT=0 forces the
     broadcast tier, where the split parametrization actually matters."""
+    for name, value in tier_kw.items():
+        monkeypatch.setattr(graph, name, value)
     out = (
-        pagerank_int(_edges_ds(ray_session, HAND_EDGES, n_splits), n_iter=4, **tier_kw)
+        pagerank_int(_edges_ds(ray_session, HAND_EDGES, n_splits), n_iter=4)
         .to_pandas()
         .set_index("node")["rank_nano"]
         .to_dict()
@@ -74,7 +76,7 @@ def test_pagerank_matches_reference(ray_session, n_splits, tier_kw):
     assert out == ref_pagerank(HAND_EDGES, n_iter=4)
 
 
-def test_pagerank_all_tiers_identical(ray_session):
+def test_pagerank_all_tiers_identical(ray_session, monkeypatch):
     """local (edge list on driver), broadcast (rank vector on driver),
     and bucketed (fully distributed) must agree bit-for-bit."""
     local = (
@@ -83,21 +85,16 @@ def test_pagerank_all_tiers_identical(ray_session):
         .sort_values("node")
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(graph, "EDGE_LOCAL_LIMIT", 0)
     bc = (
-        pagerank_int(
-            _edges_ds(ray_session, HAND_EDGES, 2), n_iter=3, edge_local_limit=0
-        )
+        pagerank_int(_edges_ds(ray_session, HAND_EDGES, 2), n_iter=3)
         .to_pandas()
         .sort_values("node")
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(graph, "BROADCAST_LIMIT", 0)
     bk = (
-        pagerank_int(
-            _edges_ds(ray_session, HAND_EDGES, 3),
-            n_iter=3,
-            edge_local_limit=0,
-            broadcast_limit=0,
-        )
+        pagerank_int(_edges_ds(ray_session, HAND_EDGES, 3), n_iter=3)
         .to_pandas()
         .sort_values("node")
         .reset_index(drop=True)
@@ -169,7 +166,7 @@ def test_derive_edges_block_split_invariant(ray_session, monkeypatch):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_pagerank_randomized_cross_check(ray_session):
+def test_pagerank_randomized_cross_check(ray_session, monkeypatch):
     """Seeded random multigraph (hub skew, self-loops, dangling sinks,
     weights up to 50): broadcast and bucketed tiers must both equal the
     dict reference bit-for-bit across 6 iterations."""
@@ -187,17 +184,20 @@ def test_pagerank_randomized_cross_check(ray_session):
             raw[(names[i], names[j])] = raw.get((names[i], names[j]), 0) + w
     edges = [(s, d, w) for (s, d), w in sorted(raw.items())]
     expected = ref_pagerank(edges, n_iter=6)
-    for kw in ({}, {"edge_local_limit": 0}, {"edge_local_limit": 0, "broadcast_limit": 0}):
-        out = (
-            pagerank_int(_edges_ds(ray_session, edges, 4), n_iter=6, **kw)
-            .to_pandas()
-            .set_index("node")["rank_nano"]
-            .to_dict()
-        )
-        assert out == expected, kw
+    for limits in ({}, {"EDGE_LOCAL_LIMIT": 0}, {"EDGE_LOCAL_LIMIT": 0, "BROADCAST_LIMIT": 0}):
+        with monkeypatch.context() as m:
+            for name, value in limits.items():
+                m.setattr(graph, name, value)
+            out = (
+                pagerank_int(_edges_ds(ray_session, edges, 4), n_iter=6)
+                .to_pandas()
+                .set_index("node")["rank_nano"]
+                .to_dict()
+            )
+        assert out == expected, limits
 
 
-def test_pagerank_broadcast_tier_at_size(ray_session):
+def test_pagerank_broadcast_tier_at_size(ray_session, monkeypatch):
     """5k-node / ~30k-edge seeded graph: the broadcast tier (rank
     vector on driver, streaming edge passes, positional np.add.at
     merge) must equal the local tier exactly — positional-index bugs
@@ -218,8 +218,9 @@ def test_pagerank_broadcast_tier_at_size(ray_session):
         .sort_values("node")
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(graph, "EDGE_LOCAL_LIMIT", 0)
     bc = (
-        pagerank_int(_edges_ds(ray_session, edges, 8), n_iter=3, edge_local_limit=0)
+        pagerank_int(_edges_ds(ray_session, edges, 8), n_iter=3)
         .to_pandas()
         .sort_values("node")
         .reset_index(drop=True)
@@ -251,7 +252,7 @@ def test_pagerank_drops_nonpositive_weights(ray_session):
     pd.testing.assert_frame_equal(clean, got)
 
 
-def test_pagerank_bucketed_exact_above_2_53(ray_session):
+def test_pagerank_bucketed_exact_above_2_53(ray_session, monkeypatch):
     """Regression: the bucketed tier's in-sum fill once went through
     Series.map + fillna, promoting to float64 whenever a node lacked
     contributions and silently rounding totals above 2^53.  A 10^16
@@ -260,14 +261,10 @@ def test_pagerank_bucketed_exact_above_2_53(ray_session):
     edges = [("a", "b", 1), ("c", "b", 1), ("b", "a", 3)]  # c: no in-links
     total = 10**16
     expected = ref_pagerank(edges, n_iter=3, total=total)
+    monkeypatch.setattr(graph, "EDGE_LOCAL_LIMIT", 0)
+    monkeypatch.setattr(graph, "BROADCAST_LIMIT", 0)
     out = (
-        pagerank_int(
-            _edges_ds(ray_session, edges, 2),
-            n_iter=3,
-            total=total,
-            edge_local_limit=0,
-            broadcast_limit=0,
-        )
+        pagerank_int(_edges_ds(ray_session, edges, 2), n_iter=3, total=total)
         .to_pandas()
         .set_index("node")["rank_nano"]
         .to_dict()

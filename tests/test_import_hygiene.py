@@ -141,3 +141,48 @@ def test_by_key_bucketing_map_fuses(ray_session):
     assert len(operators) == 3, operators
     assert "ReadParquet->MapBatches(partial)->MapBatches(keyed)" in operators[0]
     assert "Sort" in operators[1]
+
+
+def test_no_private_ray_access_or_ray_patches():
+    """The engine uses only Ray's public surface: no read of a Dataset's
+    private plan attributes (``_write_ds``, ``_plan``, ``_logical_plan``),
+    no import of a ``ray.*._internal`` module, and no assignment to an
+    attribute of anything imported from ``ray`` (a monkeypatch)."""
+    import ast
+
+    private = {"_write_ds", "_plan", "_logical_plan"}
+    bad = []
+    for p in sorted(PKG.rglob("*.py")):
+        rel = p.relative_to(PKG.parent)
+        tree = ast.parse(p.read_text())
+        ray_names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name == "ray" or a.name.startswith("ray."):
+                        ray_names.add(a.asname or "ray")
+                        if "._internal" in a.name:
+                            bad.append(f"{rel}:{node.lineno}: imports {a.name}")
+            elif isinstance(node, ast.ImportFrom) and node.module and (
+                node.module == "ray" or node.module.startswith("ray.")
+            ):
+                ray_names.update(a.asname or a.name for a in node.names)
+                if "._internal" in node.module or any(a.name == "_internal" for a in node.names):
+                    bad.append(f"{rel}:{node.lineno}: imports from {node.module}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                bad.append(f"{rel}:{node.lineno}: reads .{node.attr}")
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                patched = [t for t in targets if isinstance(t, ast.Attribute)]
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr":
+                patched = node.args[:1]
+            else:
+                patched = []
+            for t in patched:
+                base = t
+                while isinstance(base, ast.Attribute):
+                    base = base.value
+                if isinstance(base, ast.Name) and base.id in ray_names:
+                    bad.append(f"{rel}:{node.lineno}: assigns to {ast.unparse(t)}")
+    assert not bad, "private Ray access or Ray patches:\n" + "\n".join(sorted(set(bad)))

@@ -209,3 +209,96 @@ def test_partition_parallelism_4_under_contention(tmp_path):
     # determinism across session sizes (k=4 at 8 and at 24 CPUs)
     assert reports[8]["hashes"] == reports[24]["hashes"]
     assert reports[8]["rows"] == reports[24]["rows"]
+
+
+def _recaptured_input(d):
+    """Two files: every row of the first is re-captured later in the
+    second, so keep_winners leaves each block of the first file empty."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    first = synth_pages(24, seed=31)
+    ts = first.column("warc_ts")
+    later = pc.cast(pc.add(pc.cast(ts, pa.int64()), 10**12), ts.type)
+    second = first.set_column(first.schema.get_field_index("warc_ts"), "warc_ts", later)
+    paths = write_pages_parquet(pa.concat_tables([first, second]), str(d), n_files=2)
+    return paths, len(set(first.column("url").to_pylist()))
+
+
+def test_fused_write_with_empty_blocks_matches_table_path(ray_session, tmp_path, monkeypatch):
+    """One run_resumable partition runs as ONE operator, the extraction
+    map fused with the manifest write; tasks whose rows keep_winners
+    dropped write nothing, and the manifest equals write_partition's
+    over the same rows."""
+    import pyarrow as pa
+
+    from rapidocr_ray.pipelines.extract import build_extract_pipeline, read_pages
+
+    paths, n_urls = _recaptured_input(tmp_path / "pages")
+    results, returns = [], []
+    streamed = mf.write_partition_streamed
+    complete = mf.ManifestDatasink.on_write_complete
+
+    def recording_streamed(out_dir, pid, result, *args, **kwargs):
+        results.append(result)
+        return streamed(out_dir, pid, result, *args, **kwargs)
+
+    def recording_complete(self, write_result):
+        complete(self, write_result)
+        returns.extend(self.write_returns)
+
+    monkeypatch.setattr(mf, "write_partition_streamed", recording_streamed)
+    monkeypatch.setattr(mf.ManifestDatasink, "on_write_complete", recording_complete)
+    report = mf.run_resumable(paths, str(tmp_path / "out"), files_per_partition=2)
+    m_stream = report["manifests"][0]
+
+    operators = [
+        line for line in results[0].stats().splitlines() if line.startswith("Operator ")
+    ]
+    assert len(operators) == 1, operators
+    assert "MapBatches(CascadeStage)" in operators[0] and "Write" in operators[0]
+    assert None in returns  # the first file's blocks kept no rows
+    assert m_stream["output_files"] == sorted(r[0] for r in returns if r)
+
+    collected = pa.concat_tables(
+        build_extract_pipeline(read_pages(paths), winners_files=paths).iter_batches(
+            batch_format="pyarrow", batch_size=1024
+        )
+    )
+    m_table = mf.write_partition(str(tmp_path / "out_t"), 0, collected, paths)
+    assert m_stream["row_count"] == m_table["row_count"] == n_urls
+    for field in ("n_spans", "routes", "content_hash"):
+        assert m_stream[field] == m_table[field], field
+    assert m_stream["elapses"].keys() == m_table["elapses"].keys()
+
+
+def test_empty_partition_writes_explicit_empty_file(ray_session, tmp_path):
+    import pyarrow.parquet as pq
+
+    from rapidocr_ray.stages.ray_stages import FINAL_SCHEMA
+
+    path = str(tmp_path / "empty.parquet")
+    pq.write_table(synth_pages(4, seed=1).slice(0, 0), path)
+    m = mf.run_resumable([path], str(tmp_path / "out"))["manifests"][0]
+    assert m["row_count"] == 0 and m["output_files"] == ["data.parquet"]
+    written = pq.read_table(os.path.join(mf.partition_dir(str(tmp_path / "out"), 0), "data.parquet"))
+    assert written.schema.equals(FINAL_SCHEMA) and written.num_rows == 0
+
+
+def test_file_hidden_from_driver_raises(ray_session, sharded_input, tmp_path, monkeypatch):
+    """A file a task wrote but the driver cannot see (a node-local
+    out_dir on a multi-node cluster) fails the partition, naming it."""
+    hidden = []
+    complete = mf.ManifestDatasink.on_write_complete
+
+    def hiding_complete(self, write_result):
+        complete(self, write_result)
+        name = next(r[0] for r in self.write_returns if r)
+        os.remove(os.path.join(self.tmp, name))
+        hidden.append(name)
+
+    monkeypatch.setattr(mf.ManifestDatasink, "on_write_complete", hiding_complete)
+    with pytest.raises(RuntimeError, match="shared between driver and workers") as err:
+        mf.run_resumable(sharded_input[:1], str(tmp_path / "out"))
+    assert hidden and hidden[0] in str(err.value)
+    assert mf.completed_partitions(str(tmp_path / "out")) == set()

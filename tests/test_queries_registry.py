@@ -115,9 +115,10 @@ def test_new_oracle_queries_match_duckdb(ray_session, name):
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
 
-def test_revenue_bucketed_fallback_matches_broadcast(ray_session):
-    """broadcast_limit=0 forces the bucketed shuffle join; result must
-    equal the broadcast plan."""
+def test_revenue_bucketed_fallback_matches_broadcast(ray_session, monkeypatch):
+    """CUSTOMER_BROADCAST_LIMIT = 0 forces the bucketed shuffle join;
+    result must equal the broadcast plan."""
+    from rapidocr_ray.pipelines import queries
     from rapidocr_ray.pipelines.queries import q_revenue_by_mktsegment
 
     a = (
@@ -126,8 +127,9 @@ def test_revenue_bucketed_fallback_matches_broadcast(ray_session):
         .sort_values("c_mktsegment")
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(queries, "CUSTOMER_BROADCAST_LIMIT", 0)
     b = (
-        q_revenue_by_mktsegment(SF, broadcast_limit=0)
+        q_revenue_by_mktsegment(SF)
         .to_pandas()
         .sort_values("c_mktsegment")
         .reset_index(drop=True)

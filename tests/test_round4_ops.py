@@ -185,12 +185,15 @@ def _dedup_result(files, **kwargs):
     return df.sort_values(["url"]).reset_index(drop=True)
 
 
-def test_dedup_fallback_matches_broadcast_byte_for_byte(pages_files):
+def test_dedup_fallback_matches_broadcast_byte_for_byte(pages_files, monkeypatch):
+    from rapidocr_ray.pipelines import extract
+
     base = _dedup_result(pages_files, winners_files=pages_files)
+    monkeypatch.setattr(extract, "WINNERS_LIMIT", 3)
     # winners-files path: tiny limit -> strict bucketed plan
-    fb1 = _dedup_result(pages_files, winners_files=pages_files, broadcast_limit=3)
+    fb1 = _dedup_result(pages_files, winners_files=pages_files)
     # generic-Dataset path: tiny limit -> strict bucketed plan
-    fb2 = _dedup_result(pages_files, broadcast_limit=3)
+    fb2 = _dedup_result(pages_files)
     strict = _dedup_result(pages_files, strict=True)
     for other in (fb1, fb2, strict):
         assert list(base.columns) == list(other.columns)
@@ -252,21 +255,3 @@ def test_run_resumable_parallel_matches_serial(ray_session, pages_files, tmp_pat
     )
     assert len(again["skipped"]) == 2
 
-
-def test_harden_lazy_imports_idempotent_and_safe(ray_session):
-    """The fsspec-http probe wrapper must install once, stay installed,
-    and never raise for a non-http filesystem argument."""
-    import ray.data.datasource.path_util as pu
-
-    from rapidocr_ray.util import harden_lazy_imports
-
-    harden_lazy_imports()
-    first = pu._is_http_filesystem
-    assert getattr(first, "_rr_hardened", False)
-    harden_lazy_imports()  # idempotent: no double-wrap
-    assert pu._is_http_filesystem is first
-
-    class FakeFS:
-        pass
-
-    assert pu._is_http_filesystem(FakeFS()) is False

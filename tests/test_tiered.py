@@ -244,11 +244,13 @@ def test_dup_groups_label_loop_does_not_depend_on_the_bucket_count(
     """The distributed dup_groups loop (label lookups and per-node
     mins, all ``by_key``) gives union-find's components at any bucket
     count."""
+    from rapidocr_ray.stages import dedup
     from rapidocr_ray.stages.dedup import dup_groups
 
     want = _frame(dup_groups(_pairs_ds(ray_session)))
+    monkeypatch.setattr(dedup, "DUP_GROUPS_LOCAL_LIMIT", 0)
     for n in (1, 7):
         monkeypatch.setattr(tiered, "N_BUCKETS", n)
-        got = _frame(dup_groups(_pairs_ds(ray_session), local_limit=0))
+        got = _frame(dup_groups(_pairs_ds(ray_session)))
         pd.testing.assert_frame_equal(got, want)
     assert want.group_id.nunique() == 4
