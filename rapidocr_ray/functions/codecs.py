@@ -32,8 +32,8 @@ import zlib
 import numpy as np
 
 from rapidocr_ray.functions.jpeg import decode_jpeg, encode_jpeg, rgb_to_gray  # noqa: F401
-# module-level bind, NOT a function-level import: this module ships to
-# workers by value (ensure_worker_importable), where a live
+# module-level bind, NOT a function-level import: this module can ship
+# to workers by value (ensure_worker_importable), where a live
 # `import rapidocr_ray...` inside a function would fail off-repo-CWD
 from rapidocr_ray.functions.webp import decode_webp
 from rapidocr_ray.glyphs import decode_rbmp, is_rbmp

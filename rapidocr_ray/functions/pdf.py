@@ -37,8 +37,8 @@ import zlib
 
 import numpy as np
 
-# module-level binds, NOT function-level imports: this module ships to
-# workers by value (ensure_worker_importable), where a live
+# module-level binds, NOT function-level imports: this module can ship
+# to workers by value (ensure_worker_importable), where a live
 # `import rapidocr_ray...` inside a function fails off-repo-CWD
 from rapidocr_ray.functions.codecs import (
     _png_unfilter,

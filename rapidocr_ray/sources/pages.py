@@ -32,7 +32,7 @@ import pyarrow as pa
 
 from rapidocr_ray import glyphs
 from rapidocr_ray.functions.html import make_page_html
-# module-level (not lazy inside the builder): workers receive this
+# module-level (not lazy inside the function): workers can receive this
 # module by VALUE via ensure_worker_importable, where a runtime
 # `import rapidocr_ray...` inside a function body cannot resolve
 from rapidocr_ray.functions.pdf import encode_pdf_scanned, encode_pdf_text

@@ -31,7 +31,7 @@ import numpy as np
 import pyarrow as pa
 
 # NOTE: every name a WORKER-side body needs must be bound at module
-# level — the module ships by value (cloudpickle), so a late
+# level — the module can ship by value (cloudpickle), so a late
 # `from rapidocr_ray...` import inside __call__ would do a real import
 # on the worker and fail when the driver's CWD is not the repo.
 from rapidocr_ray import glyphs

@@ -47,7 +47,7 @@ answer by construction:
 
 A key missing from the table raises on both tiers.
 
-Callback contract (all run on workers, so this module ships by value):
+Callback contract (all run on workers, so this module can ship by value):
 
 - ``keys_of(batch) -> (keys, lens)``: the flat keys of a docs batch and
   the per-doc key counts (int64, one per row, in row order).

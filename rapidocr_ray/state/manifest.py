@@ -9,6 +9,11 @@ JSON manifest carrying lineage:
     {partition_id, input_files, input_span, row_count, n_spans,
      routes, elapses, content_hash, engine_version}
 
+A ``run_resumable`` partition's manifest also records ``code_shipping``:
+how its execution shipped the engine's code to the workers,
+``"by_reference"`` or ``"by_value"`` (``util.ensure_worker_importable``),
+so a run shows whether the by-value fallback fired.
+
 On resume, ``run_resumable`` lists existing manifests, skips finished
 partitions, and processes only the remainder — a failed run at shard
 k restarts at shard k, never recomputing earlier shards.
@@ -219,7 +224,9 @@ def write_partition_streamed(
     if os.path.isdir(tmp):
         shutil.rmtree(tmp)
     os.makedirs(tmp, exist_ok=True)
-    ensure_worker_importable()  # the sink's class ships by value with every task
+    # the mode of this execution: Ray pickles the fused task's code,
+    # the sink's class included, when write_datasink starts it
+    code_shipping = ensure_worker_importable()
     sink = ManifestDatasink(tmp)
     result.write_datasink(sink)
     written = sorted((r for r in sink.write_returns if r is not None), key=lambda r: r[0])
@@ -248,6 +255,7 @@ def write_partition_streamed(
         "input_span": list(input_span) if input_span else None,
         "written_at": time.time(),
         "output_files": [name for name, _ in written],
+        "code_shipping": code_shipping,
         **_merge_partials([partial for _, partial in written]),
     }
     _write_manifest(tmp, final, manifest)

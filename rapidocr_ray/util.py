@@ -1,17 +1,34 @@
-"""Worker importability and per-process state; no patch of Ray.
+"""How code ships to Ray workers, per-process state; no patch of Ray.
 
 The caller owns the Ray session and may have initialised it from any
-working directory; Ray worker processes then cannot import
-``rapidocr_ray`` by module path unless the repo root happens to be on
-their ``sys.path``.  ``ensure_worker_importable()`` registers every
-loaded ``rapidocr_ray*`` module for cloudpickle by-value serialization,
-so tasks ship their own code (a few tens of KB per task) instead of
-relying on an import that may fail on the worker.  It is idempotent and
-called at pipeline-build time (pipelines/extract.py, pipelines/queries.py,
-state/manifest.py).  State that must outlive one task (model
-registries, broadcast reads) lives in ``process_cache``; worker code
-reads every broadcast through ``broadcast_get``.  The rest are small
-helpers: ``session_cpus``, ``lru_cache_get``, ``stack_list_column``.
+working directory.  Its workers can then import ``rapidocr_ray`` by
+module path only if the package happens to be on their ``sys.path``.
+``ensure_worker_importable()`` is the one place that decides how the
+engine's code ships, once per Ray session; it is idempotent and called
+at pipeline-build time (pipelines/extract.py, pipelines/queries.py,
+the stages, state/manifest.py):
+
+- **the probe**: its first call in a session starts one ``num_cpus=0``
+  task that reports where a worker's ``importlib.util.find_spec``
+  resolves ``rapidocr_ray`` (a nested function, so it ships by value
+  and runs without the package), and does not wait for it.  The answer
+  is kept per session (node id and job id of the driver).
+- **by reference** once the probe has answered with the driver's own
+  package file and the session has one alive node (re-checked on every
+  call): tasks carry only data, parameters and names, and each worker
+  imports the code once.  Every module registered by value earlier in
+  the process (e.g. in an earlier session) is unregistered.
+- **by value** otherwise (no session, the probe still in flight, a
+  worker that imports another copy or none, several nodes): every
+  loaded ``rapidocr_ray*`` module is registered for cloudpickle
+  by-value serialization, so tasks carry their own code and need no
+  import on the worker.  A session's first execution always ships
+  this way, without waiting for the probe.
+
+State that must outlive one task (model registries, broadcast reads)
+lives in ``process_cache``; worker code reads every broadcast through
+``broadcast_get``.  The rest are small helpers: ``session_cpus``,
+``lru_cache_get``, ``stack_list_column``.
 
 Nothing here calls ray.init (the session belongs to the caller) or
 assigns an attribute of a Ray module.
@@ -19,12 +36,19 @@ assigns an attribute of a Ray module.
 
 from __future__ import annotations
 
+import os
 import sys
 import types
 
 import numpy as np
 
+BY_VALUE, BY_REFERENCE = "by_value", "by_reference"
+
+# rapidocr_ray modules this process registered for by-value pickling
 _registered: set[str] = set()
+# the probe of the connected session: {(node id, job id): ObjectRef
+# while in flight, then the worker's package file ("" for none)}
+_probe: dict = {}
 
 
 def session_cpus() -> int:
@@ -62,13 +86,15 @@ _PROCESS_STATE = "rapidocr_ray_process_state"
 def process_cache(name: str) -> dict:
     """The dict named ``name`` that lives once per worker PROCESS.
 
-    A module-level dict cannot be that cache: code shipped by value
-    (``ensure_worker_importable``) unpickles with a fresh copy of every
-    global it references, once per task, so such a dict starts empty in
-    each task.  This one hangs off a placeholder module in
-    ``sys.modules``, which every unpickled copy of the code shares.
-    Its users: ``"model_registries"`` (``CascadeStage``) and
-    ``"broadcasts"`` (``broadcast_get``)."""
+    Shipped by reference, a module-level dict would be that cache; but
+    code shipped by value (``ensure_worker_importable``'s fallback, and
+    every session's first execution) unpickles with a fresh copy of
+    every global it references, once per task, so such a dict starts
+    empty in each task.  This one hangs off a placeholder module in
+    ``sys.modules``, which the imported module and every unpickled copy
+    share, so it is right in both modes.  Its users:
+    ``"model_registries"`` (``CascadeStage``) and ``"broadcasts"``
+    (``broadcast_get``)."""
     state = sys.modules.get(_PROCESS_STATE)
     if state is None:
         state = sys.modules.setdefault(_PROCESS_STATE, types.ModuleType(_PROCESS_STATE))
@@ -136,15 +162,67 @@ def stack_list_column(col, dtype=np.float64) -> np.ndarray:
     return np.stack([np.asarray(v, dtype=dtype) for v in arr.to_pylist()])
 
 
-def ensure_worker_importable() -> None:
-    # No early-return on "done": modules imported lazily after the first
-    # call (e.g. stages.dedup inside a later query) must still be
-    # registered, or they'd serialize by reference and fail to import on
-    # workers launched from a non-repo CWD.
+def _worker_package_file() -> str | None:
+    """Where the connected session's workers import ``rapidocr_ray``
+    from: the probe's answer ("" when they cannot, or the probe failed),
+    or None with no session or while the probe is in flight.  The first
+    call in a session starts the probe and does not wait for it."""
+    import ray
+
+    if not ray.is_initialized():
+        return None
+    ctx = ray.get_runtime_context()
+    session = (ctx.get_node_id(), ctx.get_job_id())
+    answer = _probe.get(session)
+    if answer is None:
+
+        def package_file() -> str:
+            import importlib.util
+
+            spec = importlib.util.find_spec("rapidocr_ray")
+            return (spec.origin or "") if spec else ""
+
+        _probe.clear()
+        _probe[session] = ray.remote(num_cpus=0)(package_file).remote()
+        return None
+    if isinstance(answer, ray.ObjectRef):
+        if not ray.wait([answer], timeout=0)[0]:
+            return None
+        try:
+            answer = ray.get(answer)
+        except Exception:  # a failed probe ships by value
+            answer = ""
+        _probe[session] = answer
+    return answer
+
+
+def ensure_worker_importable() -> str:
+    """Ship the engine's code by reference or by value (module
+    docstring) for the executions built after this call; returns the
+    mode, ``BY_REFERENCE`` or ``BY_VALUE``."""
+    import ray
+
     try:
         from ray import cloudpickle  # same pickler Ray uses for tasks
     except Exception:  # pragma: no cover
         import cloudpickle  # type: ignore
+    origin = _worker_package_file()
+    if (
+        origin
+        and os.path.realpath(origin) == os.path.realpath(sys.modules["rapidocr_ray"].__file__)
+        and sum(1 for n in ray.nodes() if n["Alive"]) == 1
+    ):
+        for name in list(_registered):
+            try:
+                cloudpickle.unregister_pickle_by_value(sys.modules[name])
+            except (KeyError, ValueError):  # unloaded, or another thread was first
+                pass
+            _registered.discard(name)
+        return BY_REFERENCE
+    # No early-return on "done": modules imported lazily after the first
+    # call (e.g. stages.dedup inside a later query) must still be
+    # registered, or they'd serialize by reference and fail to import on
+    # workers launched from a non-repo CWD.
     for name in sorted(sys.modules):
         if name in _registered:
             continue
@@ -155,3 +233,4 @@ def ensure_worker_importable() -> None:
                 _registered.add(name)
             except Exception:  # pragma: no cover — best-effort
                 pass
+    return BY_VALUE

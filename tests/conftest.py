@@ -27,3 +27,18 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield ray
     ray.shutdown()
+
+
+@pytest.fixture
+def by_value():
+    """Ship the engine's code by value for one test, as
+    ``util.ensure_worker_importable`` does when workers cannot import
+    the package (a stubbed negative probe answer); afterwards the
+    session's own mode applies again."""
+    from rapidocr_ray import util
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(util, "_worker_package_file", lambda: "")
+        assert util.ensure_worker_importable() == util.BY_VALUE
+        yield
+    util.ensure_worker_importable()

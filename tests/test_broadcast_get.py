@@ -1,8 +1,8 @@
 """``util.broadcast_get`` is the one worker-side reader of broadcasts.
 
-Code shipped by value (``util.ensure_worker_importable``) unpickles with
-fresh copies of the module globals it references, once per task, as on
-a worker.  A broadcast read must outlive those copies: the process
+Code shipped by value (``util.ensure_worker_importable``'s fallback,
+forced here by the ``by_value`` fixture) unpickles with fresh copies of
+the module globals it references, once per task, as on a worker.  A broadcast read must outlive those copies: the process
 cache keeps one entry per ref for the whole worker process, up to the
 ``lru_cache_get`` bound."""
 
@@ -20,7 +20,7 @@ def count_build(value):
     return {"value": value}
 
 
-def test_by_value_copies_share_one_broadcast_read(ray_session):
+def test_by_value_copies_share_one_broadcast_read(ray_session, by_value):
     from ray import cloudpickle
 
     ensure_worker_importable()

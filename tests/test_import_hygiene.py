@@ -1,11 +1,13 @@
 """Worker-module import hygiene: modules under rapidocr_ray/functions/
 (pure worker-executed code: codecs, jpeg, pdf, webp, avi, imgproc, ...)
-ship to Ray workers BY VALUE (util.ensure_worker_importable), where a
-live ``import rapidocr_ray...`` inside a function body fails whenever
-the driver's CWD is not the repo (ModuleNotFoundError mid-pipeline —
-found live via the driver simulator on the PDF filter chains).  Package
-imports in these modules must be module-level, where by-value pickling
-resolves them at registration time."""
+ship to Ray workers by reference when the session's workers import the
+same package, and BY VALUE otherwise (util.ensure_worker_importable's
+fallback, and every session's first execution).  Shipped by value, a
+live ``import rapidocr_ray...`` inside a function body still fails
+whenever the driver's CWD is not the repo (ModuleNotFoundError
+mid-pipeline — found live via the driver simulator on the PDF filter
+chains).  Package imports in these modules must be module-level, where
+by-value pickling resolves them at registration time."""
 
 import pathlib
 import re
@@ -186,3 +188,16 @@ def test_no_private_ray_access_or_ray_patches():
                 if isinstance(base, ast.Name) and base.id in ray_names:
                     bad.append(f"{rel}:{node.lineno}: assigns to {ast.unparse(t)}")
     assert not bad, "private Ray access or Ray patches:\n" + "\n".join(sorted(set(bad)))
+
+
+def test_only_util_decides_how_code_ships():
+    """``util.ensure_worker_importable`` is the one place that registers
+    modules for by-value pickling or unregisters them."""
+    bad = [
+        f"{p.relative_to(PKG.parent)}:{i}: {line.strip()}"
+        for p in sorted(PKG.rglob("*.py"))
+        if p != PKG / "util.py"
+        for i, line in enumerate(p.read_text().splitlines(), 1)
+        if "register_pickle_by_value" in line
+    ]
+    assert not bad, "by-value registration outside util.py:\n" + "\n".join(bad)

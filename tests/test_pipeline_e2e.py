@@ -374,7 +374,7 @@ def test_read_fuses_when_blocks_outnumber_files(ray_session, tmp_path):
     assert max(run.size_bytes for run in plan) <= target < default
 
 
-def test_shipped_cascade_stage_shares_the_process_registry():
+def test_shipped_cascade_stage_shares_the_process_registry(by_value):
     """A CascadeStage shipped by value (as to every extraction task)
     takes its ModelRegistry from the process cache: models are built
     once per worker process, not once per task."""
