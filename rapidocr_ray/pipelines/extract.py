@@ -30,6 +30,11 @@ Scale notes (SURVEY.md §4, §7.3):
 
 from __future__ import annotations
 
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray.data
 
 from rapidocr_ray.config import PipelineConfig
@@ -46,62 +51,47 @@ from rapidocr_ray.stages.ray_stages import (
 )
 from rapidocr_ray.stages.tiered import by_key
 
-
-def _winners_file_partial(files: list[str] | str):
-    """Winners partial over a CHUNK of files: projection read of (url,
-    warc_ts) + a vectorized groupby max.  The caller fans out one
-    num_cpus=0 task per chunk (VERDICT r4 #4) so a huge unsharded input
-    no longer pays a serial footer+column read of every file in one
-    process — chunked rather than strictly per-file because the
-    per-task overhead (~5-20 ms scheduling + partial transfer) swamps
-    tiny files: measured on a 5000-row corpus, 128 single-file tasks
-    cost 675 ms vs 277 ms serial, while chunks bounded by session width
-    match serial at small scale and parallelize the big one."""
-    import pandas as pd
-    import pyarrow as _pa
-    import pyarrow.parquet as _pq
-
-    if isinstance(files, str):
-        files = [files]
-    frames = []
-    for f in files:
-        t = _pq.read_table(f, columns=["url", "warc_ts"])
-        frames.append(
-            pd.DataFrame(
-                {
-                    "url": t.column("url").to_pandas(),
-                    # int64 epoch MICROseconds — must match keep_winners'
-                    # arrow cast (a pandas datetime64 round trip would
-                    # silently flip to nanoseconds)
-                    "ts": t.column("warc_ts").cast(_pa.int64()).to_pandas(),
-                }
-            )
-        )
-    df = pd.concat(frames, ignore_index=True)
-    return df.groupby("url", sort=False)["ts"].max()
-
-
 # distinct urls the winners broadcast may hold; past it dedup_by_url
 # falls back to the strict bucketed plan.  Read at call time (tests
 # monkeypatch it, as they do ``tiered.BROADCAST_LIMIT``).
 WINNERS_LIMIT = 20_000_000
 
+# (url, latest capture) rows of the winners pass; warc_ts as int64
+# epoch microseconds, the cast keep_winners compares against
+_URL_TS = pa.schema([("url", pa.string()), ("ts", pa.int64())])
 
-def _winners_merge(broadcast_limit: int, *partials) -> dict | None:
-    """Merge per-file winner partials into the broadcast dict.  Runs AS
-    A RAY TASK taking the partial ObjectRefs so the whole winners pass
-    (reads AND merge) materializes while the driver builds and starts
-    the main pipeline — the first keep_winners call blocks on the
-    ObjectRef, by which time it is ready or nearly so (overlapped
-    instead of a serial driver phase)."""
-    import pandas as pd
 
-    agg = pd.concat(list(partials)).groupby(level=0).max()
-    if len(agg) > broadcast_limit:
-        # sentinel, not an error: the caller routes to the strict
-        # bucketed-groupby plan (scale-safe by default — VERDICT r3)
+def _max_by_url(parts: list[pa.Table]) -> pa.Table:
+    """Max ts per url over (url, ts) tables; null urls are one group.
+    The empty seed table gives zero parts the same typed answer, and
+    ``permissive`` promotion admits large_string url columns."""
+    t = pa.concat_tables([_URL_TS.empty_table(), *parts], promote_options="permissive")
+    agg = t.group_by("url").aggregate([("ts", "max")])
+    return pa.table({"url": agg["url"], "ts": agg["ts_max"]})
+
+
+def _winners_partial(*sources) -> pa.Table:
+    """Winners partial over a chunk of page sources: parquet file paths
+    (read with the two-column projection, so no payload byte is read)
+    or Arrow blocks of a materialized Dataset (resolved from their
+    object refs; only the two columns are touched)."""
+    parts = []
+    for s in sources:
+        t = pq.read_table(s, columns=["url", "warc_ts"]) if isinstance(s, str) else s
+        parts.append(
+            pa.table({"url": t["url"], "ts": pc.cast(t["warc_ts"], pa.int64())})
+        )
+    return _max_by_url(parts)
+
+
+def _winners_merge(limit: int, *partials: pa.Table) -> pd.Series | None:
+    """The winners as a ``pd.Series`` (url -> int64 epoch us), the
+    object every keep_winners call reads, or None when more than
+    ``limit`` distinct urls would be broadcast."""
+    agg = _max_by_url(list(partials))
+    if agg.num_rows > limit:
         return None
-    return {u: int(t) for u, t in zip(agg.index.to_numpy(), agg.to_numpy())}
+    return pd.Series(agg["ts"].to_numpy(), index=pd.Index(agg["url"].to_pandas()))
 
 
 def dedup_by_url(
@@ -109,160 +99,66 @@ def dedup_by_url(
     strict: bool = False,
     winners_files: list[str] | None = None,
 ) -> "ray.data.Dataset":
-    """North-rule exact dedup: latest warc_ts wins per url (groupby-url
-    before extraction, SURVEY.md §2.6).
+    """North-rule exact dedup: the latest warc_ts wins per url, before
+    extraction (SURVEY.md §2.6).  A null url is a url of its own: the
+    latest null-url capture is kept, as ``OracleExtractor.run`` does.
 
-    Default plan is the two-pass winners-broadcast: a column-pruned
-    pass aggregates max(warc_ts) per url (tiny shuffle: two narrow
-    columns, with parquet projection pushdown the payload bytes are
-    never read), the winner map is ray.put ONCE, and the main pass
-    filters rows to the winners inside map_batches — the multi-KB/MB
-    payload column never enters a shuffle.  Precondition: (url,
-    warc_ts) pairs are unique (WARC capture timestamps are); with ties
-    both captures would survive, so pass ``strict=True`` to use the
-    url-keyed ``tiered.by_key`` plan (payload shuffle, exact under ties).
+    Default plan, the winners broadcast: only the narrow (url, warc_ts)
+    columns cross a task boundary, and the payload stays in the fused
+    extraction task.
+    1. The sources are ``winners_files`` when given (the parquet files
+       ``ds`` reads, e.g. ``read_pages(winners_files)``), else the
+       Arrow blocks of ``ds.materialize()``, so the main pass does not
+       run the upstream lineage a second time.
+    2. ``num_cpus=0`` reader tasks, at most ``max(8, session_cpus())``,
+       each take the max warc_ts per url over a contiguous chunk of
+       sources.  Chunks, not one task per source: per-task overhead
+       swamps tiny files, and each concurrent reader may hold a worker
+       process of its own (~100 MB).  One merge task, also
+       ``num_cpus=0``, combines the partials into a ``pd.Series``.
+       Holding no CPU, these tasks start at once instead of queueing
+       behind the extraction tasks that fill every CPU slot.
+    3. The driver does not wait for them: the first keep_winners call
+       of each worker process reads the Series (``broadcast_get``),
+       and the filter fuses with the read and the extraction maps.
 
-    At cluster scale the broadcast is valid while distinct urls fit one
-    node's heap (~20M urls / few GB); beyond ``WINNERS_LIMIT``
-    distinct urls the plan FALLS BACK to the strict bucketed-groupby
-    plan automatically (identical output when (url, warc_ts) is unique
-    — covered by tests), so the default is scale-safe rather than an
-    error.  Sharding inputs by url (the resumable runner's layout)
-    keeps the faster broadcast plan applicable per shard.
+    Distinct urls are at most ``ds.count()``, which the read plan (or
+    the materialized blocks) answers from metadata.  Only when that
+    count exceeds ``WINNERS_LIMIT`` does the driver block on the merge,
+    which returns None past the limit; the plan then falls back to the
+    strict one, so the default stays scale-safe.
 
-    ``winners_files`` names the parquet files that ``ds`` reads
-    (``read_pages(winners_files)``): the winners are read from them
-    directly, and the read's planned row count bounds the urls."""
+    Precondition: (url, warc_ts) pairs are unique, as WARC capture
+    timestamps are; under a tie both captures survive.  ``strict=True``
+    runs the url-keyed ``tiered.by_key`` plan instead (payload shuffle,
+    one row per url even under ties); when the pairs are unique both
+    plans give the same rows."""
     ensure_worker_importable()
     if strict:
         return by_key(ds, "url", dedup_bucket, batch_format="pyarrow")
-    import ray as _ray
-
-    # winners pass WITHOUT a Ray groupby: the broadcast path already
-    # materializes the winner map on the driver, so an all-to-all sort
-    # to pre-group it only adds a ~2s barrier; instead stream the
-    # column-pruned (url, warc_ts) batches and max-accumulate in the
-    # driver dict directly.  Bounded by the same WINNERS_LIMIT guard
-    # (beyond it, shard the input by url or use strict=True — at that
-    # scale the strict bucketed-groupby plan is the right one anyway).
-    import numpy as np
-    import pyarrow as _pa
-    import pyarrow.compute as _pc
-
-    if winners_files is not None and len(winners_files) == 0:
-        # empty partition group: nothing to read winners from — fall
-        # through to the generic-Dataset path (the chunking math below
-        # would divide by zero)
-        winners_files = None
-    if winners_files is not None:
-        # source-projection fast path, overlapped with pipeline build
-        # (_winners_merge docstring); the winners map is read in the
-        # first keep_winners call of each worker process.  Total row count
-        # (the read plan's) upper-bounds distinct urls: only when it
-        # exceeds the broadcast limit must the driver wait for the
-        # winners task to learn whether to fall back — the common
-        # (bounded) case keeps the fully overlapped plan.
-        # num_cpus=0: the winners pass is a narrow projection read
-        # (I/O-bound, seconds) that every extraction task waits on in
-        # its first keep_winners call.  Holding no CPU, it starts at
-        # once instead of queueing behind the fused extraction tasks
-        # of this and of concurrently running partitions, which take
-        # every CPU slot of the session.  Reader tasks fan out over
-        # file CHUNKS (bounded by session width) so wall time stays
-        # flat as file count grows (VERDICT r4 #4) without paying
-        # per-task overhead on tiny files; the merge is itself a task
-        # over the partial refs, so the driver never blocks.
-        n_chunks = min(len(winners_files), max(8, session_cpus()))
-        step = (len(winners_files) + n_chunks - 1) // n_chunks
-        chunks = [
-            winners_files[i : i + step]
-            for i in range(0, len(winners_files), step)
-        ]
-        reader = _ray.remote(num_cpus=0)(_winners_file_partial)
-        partial_refs = [reader.remote(c) for c in chunks]
-        ref = (
-            _ray.remote(num_cpus=0)(_winners_merge)
-            .remote(WINNERS_LIMIT, *partial_refs)
-        )
-        # the read's planned row count: ``ds`` reads ``winners_files``
-        # (read_pages), whose read tasks carry their footer row counts,
-        # so count() answers from that metadata without running
-        # anything or opening a footer again.  The column reads above
-        # are NOT blocked on.
-        if ds.count() > WINNERS_LIMIT:
-            if _ray.get(ref) is None:  # over-limit sentinel
-                return dedup_by_url(ds, strict=True)
+    if winners_files:
+        sources = list(winners_files)
     else:
-        # generic-Dataset path: materialize the input ONCE (the winners
-        # scan below would otherwise re-execute the full upstream
-        # lineage a second time when the main pass runs — for
-        # synthesized pages that meant rendering every glyph twice),
-        # then stream the two pruned columns and max-accumulate as
-        # per-batch vectorized groupby-max partials.  Timestamps stay
-        # int64 (epoch us) on both passes; the driver holds only the
-        # (url -> max ts) partials, combined C-level.
-        import pandas as _pd
-
         ds = ds.materialize()
-        partials: list = []
-        n_pending = 0
-        over_limit = False
-        for batch in (
-            ds.select_columns(["url", "warc_ts"])
-            .iter_batches(batch_format="pyarrow", batch_size=65536)
-        ):
-            df = _pd.DataFrame(
-                {
-                    "u": batch.column("url").to_pandas(),
-                    "t": np.asarray(_pc.cast(batch.column("warc_ts"), _pa.int64())),
-                }
-            )
-            partials.append(df.groupby("u", sort=False)["t"].max())
-            n_pending += len(partials[-1])
-            if n_pending > max(65536, WINNERS_LIMIT // 8):
-                combined = _pd.concat(partials).groupby(level=0).max()
-                partials, n_pending = [combined], len(combined)
-                if len(combined) > WINNERS_LIMIT:
-                    over_limit = True
-                    break
-        if not over_limit:
-            agg = (
-                _pd.concat(partials).groupby(level=0).max()
-                if partials
-                else _pd.Series(dtype=np.int64)
-            )
-            over_limit = len(agg) > WINNERS_LIMIT
-        if over_limit:
-            # auto-fallback: distinct urls no longer fit a broadcast —
-            # route to the strict bucketed plan on the (already
-            # materialized) input instead of erroring (VERDICT r3)
-            return dedup_by_url(ds, strict=True)
-        winners = {u: int(t) for u, t in zip(agg.index.to_numpy(), agg.to_numpy())}
-        ref = _ray.put(winners)
+        sources = ds.to_arrow_refs()
+    limit = WINNERS_LIMIT
+    step = max(1, -(-len(sources) // max(8, session_cpus())))
+    reader = ray.remote(num_cpus=0)(_winners_partial)
+    partials = [
+        reader.remote(*sources[i : i + step]) for i in range(0, len(sources), step)
+    ]
+    ref = ray.remote(num_cpus=0)(_winners_merge).remote(limit, *partials)
+    if ds.count() > limit and ray.get(ref) is None:
+        return dedup_by_url(ds, strict=True)
 
-    def keep_winners(batch):
-        import numpy as _np
-        import pandas as _pd
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        # a pd.Series built once per worker process: Series.map(dict)
-        # rebuilds a Series from the WHOLE dict on every call
-        # (O(|winners|) per batch, measured 0.5 s/batch at 1M urls),
-        # while .map(Series) is a C-level index lookup
-        m = broadcast_get(ref, _pd.Series)
-        ts = _np.asarray(pc.cast(batch.column("warc_ts"), pa.int64()))
-        # vectorized dict lookup (C-level .map); epoch-us values are
-        # well under 2^53 so the float64 NaN-for-missing round trip is
-        # exact, and -1 never matches a real capture timestamp
-        want = (
-            batch.column("url")
-            .to_pandas()
-            .map(m)
-            .fillna(-1)
-            .to_numpy(dtype=_np.int64)
-        )
-        return batch.filter(pa.array(want == ts))
+    def keep_winners(batch: pa.Table) -> pa.Table:
+        winners = broadcast_get(ref)
+        pos = winners.index.get_indexer(batch.column("url").to_pandas())
+        ts = pc.cast(batch.column("warc_ts"), pa.int64()).to_numpy()
+        hit = np.flatnonzero(pos >= 0)
+        keep = np.zeros(batch.num_rows, dtype=bool)
+        keep[hit] = winners.to_numpy()[pos[hit]] == ts[hit]
+        return batch.filter(pa.array(keep))
 
     return ds.map_batches(keep_winners, batch_format="pyarrow")
 

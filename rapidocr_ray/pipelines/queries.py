@@ -298,18 +298,19 @@ def q_revenue_by_mktsegment(sf_dir: str):
     cust = pq.read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
     )
-    lookup = dict(
-        zip(cust.column("c_custkey").to_pylist(), cust.column("c_mktsegment").to_pylist())
+    # the Series the workers map against, built once here: a worker
+    # reads it with no build step
+    ref = ray.put(
+        pd.Series(
+            cust.column("c_mktsegment").to_pandas().to_numpy(),
+            index=cust.column("c_custkey").to_pandas(),
+        )
     )
-    ref = ray.put(lookup)
 
     ds = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
     def join(batch: pa.Table) -> pa.Table:
-        # Series.map(dict) rebuilds a Series per call, so map against
-        # a Series built once per worker process
-        lk = broadcast_get(ref, pd.Series)
-        segs = batch.column("o_custkey").to_pandas().map(lk)
+        segs = batch.column("o_custkey").to_pandas().map(broadcast_get(ref))
         return pa.table(
             {
                 "c_mktsegment": pa.array(segs, type=pa.string()),

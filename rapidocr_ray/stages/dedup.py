@@ -162,6 +162,12 @@ def _shingle_table(tables: list):
     return id2row, lists
 
 
+# signature-table bytes up to which minhash_lsh_pairs and
+# ngram_jaccard_pairs score from a broadcast instead of the bucketed
+# attach joins; read at call time (tests monkeypatch it)
+SIG_BROADCAST_BYTES = 1 << 30
+
+
 def minhash_lsh_pairs(
     ds,
     n_perm: int = 128,
@@ -169,7 +175,6 @@ def minhash_lsh_pairs(
     k: int = 3,
     threshold: float = 0.5,
     seed: int = 7,
-    sig_broadcast_bytes: int = 1 << 30,
 ):
     """documents -> candidate near-dup pairs (doc_a, doc_b, est_jaccard)
     with est_jaccard (signature agreement fraction) >= threshold.
@@ -181,8 +186,8 @@ def minhash_lsh_pairs(
     vectorized merge per bounded bucket.
 
     Scoring is adaptive, mirroring dedup_by_url's WINNERS_LIMIT
-    discipline: while the signature table fits ``sig_broadcast_bytes``
-    (~1 GB default — n_perm*8 bytes/doc ≈ 1M docs/GB, i.e. a per-shard
+    discipline: while the signature table fits ``SIG_BROADCAST_BYTES``
+    (1 GiB — n_perm*8 bytes/doc ≈ 1M docs/GB, i.e. a per-shard
     corpus), its blocks are read once per worker process from the
     object store and est_jaccard is computed INSIDE the band-bucket
     groupby — the only remaining shuffles are the narrow band rows and
@@ -223,7 +228,7 @@ def minhash_lsh_pairs(
         [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("est_jaccard", pa.float64())]
     )
 
-    if sig_ds.size_bytes() <= sig_broadcast_bytes:
+    if sig_ds.size_bytes() <= SIG_BROADCAST_BYTES:
         refs = sig_ds.to_arrow_refs()
 
         def bucket_pairs_scored(group: pd.DataFrame) -> pa.Table:
@@ -355,7 +360,6 @@ def ngram_jaccard_pairs(
     threshold: float = 0.5,
     hot_df: int = 64,
     max_hot: int = 2_000_000,
-    sig_broadcast_bytes: int = 1 << 30,
 ):
     """Exact all-pairs Jaccard >= threshold, mirroring the DuckDB
     oracle: same shingling (word k-grams as strings), same float64
@@ -570,7 +574,7 @@ def ngram_jaccard_pairs(
     # Past the budget, the bucketed attach join (each shingle list
     # ships at most twice, semi-join-pruned to candidate docs) is the
     # 100-TB path.
-    if sig_ds.size_bytes() <= sig_broadcast_bytes:
+    if sig_ds.size_bytes() <= SIG_BROADCAST_BYTES:
         out_schema = pa.schema(
             [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("jaccard", pa.float64())]
         )

@@ -407,8 +407,8 @@ class CascadeStage:
         pending: list[tuple[int, int, "np.ndarray", list[int], str]] = []
         # (doc_idx, region_idx, crop, box, lang)
         # columnar row access: the payload column is read as zero-copy
-        # arrow buffers (a to_pylist would memcpy every page into python
-        # bytes — measured hundreds of MB/s of pure copy at 30 actors)
+        # arrow buffers; a to_pylist would copy every page of the block
+        # into python bytes inside the fused task
         meta = batch.drop_columns(["payload"]).to_pylist()
         payload_col = batch.column("payload").combine_chunks()
         for i, row in enumerate(meta):
@@ -514,7 +514,9 @@ def dedup_bucket(group: pa.Table) -> pa.Table:
     sort (url asc, warc_ts desc) + keep-first-per-url via a boundary
     mask — no per-url python calls (a per-url map_groups pays ~1 ms of
     framework overhead per url) and no pandas copy of the multi-KB/MB
-    payload bytes."""
+    payload bytes.  A null url is a url of its own (``key_bucket``
+    puts it in the bucket of ""): the latest null-url capture is kept,
+    as ``OracleExtractor.run`` keeps it."""
     idx = pc.sort_indices(
         group, sort_keys=[("url", "ascending"), ("warc_ts", "descending")]
     )
@@ -523,10 +525,11 @@ def dedup_bucket(group: pa.Table) -> pa.Table:
     n = len(urls)
     if n == 0:
         return s
-    first = pa.concat_arrays(
-        [
-            pa.array([True]),
-            pc.not_equal(urls.slice(1, n - 1), urls.slice(0, n - 1)),
-        ]
+    cur, prev = urls.slice(1, n - 1), urls.slice(0, n - 1)
+    # a url starts where the value changes (null where either side is
+    # null) or where validity changes (null against "" included)
+    changed = pc.or_(
+        pc.fill_null(pc.not_equal(cur, prev), False),
+        pc.not_equal(pc.is_valid(cur), pc.is_valid(prev)),
     )
-    return s.filter(first)
+    return s.filter(pa.concat_arrays([pa.array([True]), changed]))

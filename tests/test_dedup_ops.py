@@ -206,9 +206,10 @@ def test_ngram_jaccard_short_docs_branch(ray_session):
 
 
 def test_dedup_by_url_winners_files_matches_generic(ray_session, tmp_path):
-    """The source-projection winners fast path (remote task over the
-    parquet files) selects exactly the same rows as the generic
-    Dataset-stream path."""
+    """Winners read from the parquet files (``winners_files``) and
+    winners read from the Dataset's own materialized blocks select
+    exactly the same rows: both go through the same reader and merge
+    tasks."""
     import datetime
 
     import pyarrow.parquet as pq
@@ -239,6 +240,149 @@ def test_dedup_by_url_winners_files_matches_generic(ray_session, tmp_path):
     assert generic.url.tolist() == fast.url.tolist() == ["a", "b", "c"]
     assert (generic.warc_ts == fast.warc_ts).all()
     assert generic.html.tolist() == fast.html.tolist()
+
+
+# ---------------------------------------------------------------------------
+# dedup_by_url edge inputs: every plan equals OracleExtractor's rule
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    from rapidocr_ray.pipelines.oracle import OracleExtractor
+
+    return OracleExtractor()
+
+
+def _pages(urls, ts_us, tag="p"):
+    """Html pages with the given urls and epoch-microsecond warc_ts."""
+    from rapidocr_ray.sources.pages import PAGES_SCHEMA
+
+    n = len(urls)
+    return pa.table(
+        {
+            "url": pa.array(urls, pa.string()),
+            "warc_ts": pa.array(ts_us, pa.int64()).cast(pa.timestamp("us")),
+            "html": [f"<p>{tag} {i}</p>".encode() for i in range(n)],
+            "text": [""] * n,
+            "lang": ["en"] * n,
+        },
+        schema=PAGES_SCHEMA,
+    )
+
+
+def _us(t) -> int:
+    import pandas as pd
+
+    return int((pd.Timestamp(t) - pd.Timestamp(0)) // pd.Timedelta(1, "us"))
+
+
+def _rows(ds) -> list:
+    """(url, warc_ts us, html) of every row, nulls first."""
+    out = [(r["url"], _us(r["warc_ts"]), bytes(r["html"])) for r in ds.take_all()]
+    return sorted(out, key=lambda r: (r[0] is not None, r[0] or "", r[1]))
+
+
+def _check_every_plan(oracle, pages, ds, files=None):
+    """The winners plan over the Dataset's blocks, over ``files`` when
+    given, and the strict plan keep the same rows, and their (url,
+    warc_ts) pairs are OracleExtractor.run's on ``pages``.  Returns the
+    kept pairs."""
+    from rapidocr_ray.pipelines.extract import dedup_by_url, read_pages
+
+    plans = {
+        "strict": _rows(dedup_by_url(ds, strict=True)),
+        "blocks": _rows(dedup_by_url(ds)),
+    }
+    if files is not None:
+        plans["files"] = _rows(dedup_by_url(read_pages(files), winners_files=files))
+    want = {(r["url"], _us(r["warc_ts"])) for r in oracle.run(pages).to_pylist()}
+    for name, rows in plans.items():
+        assert rows == plans["strict"], name
+        assert {(u, t) for u, t, _ in rows} == want, name
+    return want
+
+
+def _write(tables, tmp_path) -> list[str]:
+    import pyarrow.parquet as pq
+
+    files = []
+    for i, t in enumerate(tables):
+        files.append(str(tmp_path / f"pages-{i:03d}.parquet"))
+        pq.write_table(t, files[-1])
+    return files
+
+
+def test_dedup_by_url_keeps_latest_null_url_capture(ray_session, tmp_path, oracle):
+    """A null url is a url of its own, apart from "": every plan keeps
+    its latest capture, as the oracle does."""
+    from rapidocr_ray.pipelines.extract import read_pages
+
+    pages = _pages([None, None, "a", "a", "", "b"], [1, 5, 2, 9, 3, 4])
+    files = _write([pages], tmp_path)
+    kept = _check_every_plan(oracle, pages, read_pages(files), files)
+    assert kept == {(None, 5), ("", 3), ("b", 4), ("a", 9)}
+
+
+def test_dedup_by_url_max_crosses_reader_chunks(ray_session, tmp_path, oracle):
+    """More files than reader tasks, with one url captured in every
+    file and its latest capture in the middle one: the max crosses the
+    chunks.  A zero-row file sits among the files."""
+    from rapidocr_ray.pipelines.extract import read_pages
+    from rapidocr_ray.sources.pages import PAGES_SCHEMA
+    from rapidocr_ray.util import session_cpus
+
+    n_files = max(8, session_cpus()) + 3
+    mid = n_files // 2
+    tables = [
+        _pages(["shared", f"only-{i}"], [5000 if i == mid else 100 + i, i], f"f{i}")
+        for i in range(n_files)
+    ]
+    tables.insert(2, PAGES_SCHEMA.empty_table())
+    files = _write(tables, tmp_path)
+    pages = pa.concat_tables(tables)
+    kept = _check_every_plan(oracle, pages, read_pages(files), files)
+    assert ("shared", 5000) in kept
+    assert len(kept) == n_files + 1
+
+
+def test_dedup_by_url_pre_1970_captures(ray_session, tmp_path, oracle):
+    """Negative epoch microseconds compare exactly; a capture stamped
+    -1 us that is not its url's latest is dropped."""
+    from rapidocr_ray.pipelines.extract import read_pages
+
+    pages = _pages(
+        ["old", "old", None, None, "older", "x"],
+        [-1, -5_000_000, -1, 0, -(10**15), 0],
+    )
+    files = _write([pages], tmp_path)
+    kept = _check_every_plan(oracle, pages, read_pages(files), files)
+    assert kept == {("old", -1), (None, 0), ("older", -(10**15)), ("x", 0)}
+
+
+def test_dedup_by_url_pandas_blocks(ray_session, oracle):
+    """A generic Dataset of pandas blocks, one url split across them."""
+    import ray.data
+
+    pages = _pages(["a", "b", "a", "c", "b", "a"], [3, 1, 7, 2, 5, 4])
+    ds = ray.data.from_pandas([pages.slice(0, 3).to_pandas(), pages.slice(3).to_pandas()])
+    kept = _check_every_plan(oracle, pages, ds)
+    assert kept == {("a", 7), ("b", 5), ("c", 2)}
+
+
+def test_dedup_by_url_empty_inputs(ray_session, tmp_path, oracle):
+    """Zero-row files, a zero-row block and zero blocks give no rows."""
+    import ray.data
+
+    from rapidocr_ray.pipelines.extract import dedup_by_url, read_pages
+    from rapidocr_ray.sources.pages import PAGES_SCHEMA
+
+    empty = PAGES_SCHEMA.empty_table()
+    files = _write([empty], tmp_path)
+    assert _check_every_plan(oracle, empty, read_pages(files), files) == set()
+    assert _check_every_plan(oracle, empty, ray.data.from_arrow(empty)) == set()
+    assert dedup_by_url(ray.data.from_arrow_refs([])).take_all() == []
+
 
 def test_embedding_cosine_many_blocks_pruning_exact(ray_session):
     """B >= 64 blocks through the distributed block-pair scheduler:
@@ -272,10 +416,11 @@ def test_embedding_cosine_many_blocks_pruning_exact(ray_session):
     got = {(int(r.vec_a), int(r.vec_b)) for r in out.itertuples()}
     assert got == expected
 
-def test_minhash_broadcast_and_attach_paths_agree(docs_ds):
+def test_minhash_broadcast_and_attach_paths_agree(docs_ds, monkeypatch):
     """The broadcast-score fast path and the bucketed attach-join
-    fallback (forced via sig_broadcast_bytes=0) must emit identical
+    fallback (forced via SIG_BROADCAST_BYTES=0) must emit identical
     (doc_a, doc_b, est_jaccard) rows."""
+    from rapidocr_ray.stages import dedup
     from rapidocr_ray.stages.dedup import minhash_lsh_pairs
 
     fast = (
@@ -284,8 +429,9 @@ def test_minhash_broadcast_and_attach_paths_agree(docs_ds):
         .sort_values(["doc_a", "doc_b"])
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(dedup, "SIG_BROADCAST_BYTES", 0)
     slow = (
-        minhash_lsh_pairs(docs_ds, threshold=0.5, sig_broadcast_bytes=0)
+        minhash_lsh_pairs(docs_ds, threshold=0.5)
         .to_pandas()
         .sort_values(["doc_a", "doc_b"])
         .reset_index(drop=True)
@@ -296,10 +442,11 @@ def test_minhash_broadcast_and_attach_paths_agree(docs_ds):
     assert len(fast) > 0
 
 
-def test_ngram_broadcast_and_attach_paths_agree(docs_ds):
+def test_ngram_broadcast_and_attach_paths_agree(docs_ds, monkeypatch):
     """The broadcast-verify fast path and the semi-join-pruned attach
-    fallback (forced via sig_broadcast_bytes=0) must emit identical
+    fallback (forced via SIG_BROADCAST_BYTES=0) must emit identical
     exact (doc_a, doc_b, jaccard) rows."""
+    from rapidocr_ray.stages import dedup
     from rapidocr_ray.stages.dedup import ngram_jaccard_pairs
 
     fast = (
@@ -308,8 +455,9 @@ def test_ngram_broadcast_and_attach_paths_agree(docs_ds):
         .sort_values(["doc_a", "doc_b"])
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(dedup, "SIG_BROADCAST_BYTES", 0)
     slow = (
-        ngram_jaccard_pairs(docs_ds, threshold=0.5, sig_broadcast_bytes=0)
+        ngram_jaccard_pairs(docs_ds, threshold=0.5)
         .to_pandas()
         .sort_values(["doc_a", "doc_b"])
         .reset_index(drop=True)

@@ -278,9 +278,8 @@ def test_gzip_payloads_transparent(ray_session):
 
 
 def test_dedup_empty_winners_files_falls_back(ray_session):
-    """winners_files=[] (an empty partition group) must fall back to
-    the generic winners path rather than dividing by zero in the
-    chunking math (review finding r5)."""
+    """winners_files=[] (an empty partition group) reads the winners
+    from the Dataset's own blocks, as winners_files=None does."""
     import ray.data
 
     from rapidocr_ray.pipelines.extract import dedup_by_url

@@ -190,9 +190,9 @@ def test_dedup_fallback_matches_broadcast_byte_for_byte(pages_files, monkeypatch
 
     base = _dedup_result(pages_files, winners_files=pages_files)
     monkeypatch.setattr(extract, "WINNERS_LIMIT", 3)
-    # winners-files path: tiny limit -> strict bucketed plan
+    # winners read from the files: tiny limit -> strict bucketed plan
     fb1 = _dedup_result(pages_files, winners_files=pages_files)
-    # generic-Dataset path: tiny limit -> strict bucketed plan
+    # winners read from the materialized blocks: same fallback
     fb2 = _dedup_result(pages_files)
     strict = _dedup_result(pages_files, strict=True)
     for other in (fb1, fb2, strict):
